@@ -45,7 +45,7 @@ from .graph import (
 )
 from .prf import prf
 from .sparsify import SparsifierParams, sample
-from .stream import StreamState
+from .stream import StreamState, update_arrays
 
 _PHASE1_TAG = 0xA1
 _PHASE2_TAG = 0xA2
@@ -276,12 +276,17 @@ class StreamSparsifierPools:
             yield from states
 
     def feed(self, upd) -> None:
-        for st in self.all_states():
-            st.process(upd)
+        self.feed_many([upd])
 
     def feed_many(self, updates) -> None:
-        for upd in updates:
-            self.feed(upd)
+        """Apply the updates to every state, one state at a time.
+
+        The states share n, so the first state's check of the pairs rejects
+        a bad batch before any state changes.
+        """
+        arrays = update_arrays(updates)
+        for st in self.all_states():
+            st.apply(*arrays)
 
     @property
     def deg(self) -> np.ndarray:

@@ -292,13 +292,27 @@ def save_partition(clusters, n: int, path) -> None:
 
 
 def load_partition(path, n: int) -> list[np.ndarray]:
+    """Read "v cluster_id" lines; each vertex of 0..n-1 exactly once, with a
+    nonnegative cluster id.  A malformed line raises GraphError naming it."""
     label = np.full(n, -1, dtype=np.int64)
     with open(path) as f:
-        for line in f:
+        for lineno, line in enumerate(f, start=1):
             parts = line.split()
             if not parts:
                 continue
-            v, cid = int(parts[0]), int(parts[1])
+            where = f"{path}:{lineno}"
+            if len(parts) != 2:
+                raise GraphError(f"{where}: expected 'v cluster_id', got {line.strip()!r}")
+            try:
+                v, cid = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise GraphError(f"{where}: ids must be integers") from None
+            if not 0 <= v < n:
+                raise GraphError(f"{where}: vertex {v} out of range [0, {n})")
+            if cid < 0:
+                raise GraphError(f"{where}: negative cluster id {cid}")
+            if label[v] >= 0:
+                raise GraphError(f"{where}: vertex {v} assigned twice")
             label[v] = cid
     clusters = []
     for cid in sorted(set(label.tolist())):

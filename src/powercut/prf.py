@@ -39,15 +39,30 @@ def prf(seed: int, *words: int) -> int:
 
 def mix64_array(x: np.ndarray) -> np.ndarray:
     """Vectorized splitmix64 on a uint64 array (wraparound arithmetic)."""
-    z = (x + np.uint64(_GAMMA)).astype(np.uint64)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+    z = np.asarray(x, dtype=np.uint64) + np.uint64(_GAMMA)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    return z
 
 
-def prf_array(seeds: np.ndarray, word: int) -> np.ndarray:
-    """Vectorized `prf(seed_i, word)` over an array of uint64 seeds."""
-    return mix64_array(seeds ^ np.uint64(mix64(word & MASK64)))
+def prf_array(state: np.ndarray, *words) -> np.ndarray:
+    """Continue `prf` chains elementwise: `prf_array(prf(s, *a), *b)` equals
+    `prf(s, *a, *b)`, and `prf_array(mix64(s), *b)` equals `prf(s, *b)`.
+
+    `state` is a uint64 array; each word is an int or an integer array, and
+    all of them broadcast together.
+    """
+    h = np.asarray(state, dtype=np.uint64)
+    for w in words:
+        if isinstance(w, (int, np.integer)):
+            mixed = np.uint64(mix64(int(w) & MASK64))
+        else:
+            mixed = mix64_array(np.asarray(w).astype(np.uint64))
+        h = mix64_array(h ^ mixed)
+    return h
 
 
 def leading_ones(x: int, width: int = 64) -> int:
@@ -59,3 +74,18 @@ def leading_ones(x: int, width: int = 64) -> int:
         else:
             break
     return count
+
+
+def leading_ones_array(x: np.ndarray) -> np.ndarray:
+    """Vectorized `leading_ones` of 64-bit words, as int64.
+
+    Leading ones of x are leading zeros of ~x, counted by a binary search
+    over the top 32, 16, ..., 1 bits; ~x == 0 (x all ones) gives 64.
+    """
+    y = ~np.asarray(x, dtype=np.uint64)
+    count = np.zeros(y.shape, dtype=np.int64)
+    for s in (32, 16, 8, 4, 2, 1):
+        top_clear = (y >> np.uint64(64 - s)) == 0
+        count += np.where(top_clear, s, 0)
+        y = np.where(top_clear, y << np.uint64(s), y)
+    return count + (y == 0)

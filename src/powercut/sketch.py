@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .prf import mix64_array, prf, prf_array
+from .prf import MASK64, mix64_array, prf, prf_array
 
 FIELD_PRIME = (1 << 61) - 1
 
@@ -58,16 +58,148 @@ class SketchParams:
         return 2 * self.sparsity_budget
 
 
+_LO30 = np.uint64((1 << 30) - 1)
+_LO31 = np.uint64((1 << 31) - 1)
+_PRIME = np.uint64(FIELD_PRIME)
+
+# (item, hash row) pairs per window of `accumulate`: bounds its hash and
+# bincount temporaries to a few MB whatever the batch size
+WINDOW_CELLS = 1 << 16
+
+
+def sketch_row_seeds(seeds: np.ndarray, rows: int) -> np.ndarray:
+    """(S, R) hash-row seeds `prf(seed, _ROW_TAG, r)` of S sketch seeds."""
+    return prf_array(mix64_array(seeds)[:, None], _ROW_TAG, np.arange(rows))
+
+
+def sketch_fp_bases(seeds: np.ndarray) -> np.ndarray:
+    """Fingerprint field element r of each sketch seed, away from 0 and 1."""
+    return prf_array(mix64_array(seeds), _FP_TAG) % np.uint64(FIELD_PRIME - 3) + np.uint64(2)
+
+
+def bucket_hash(row_seeds: np.ndarray, index: np.ndarray, buckets: int) -> np.ndarray:
+    """Bucket of every index in every hash row: (..., R) row seeds and (...)
+    indices give (..., R) buckets, `prf(row_seed, index) % buckets`."""
+    return mix64_array(row_seeds ^ mix64_array(index.astype(np.uint64))[..., None]) % np.uint64(
+        buckets
+    )
+
+
+def field_reduce(x: np.ndarray) -> np.ndarray:
+    """x mod 2^61 - 1 for any uint64 array: fold the bits above 61 back in
+    (2^61 = 1 mod p), then subtract p once where needed.  For x < p,
+    x - p wraps above x, so the minimum picks the reduced value."""
+    x = (x & _PRIME) + (x >> np.uint64(61))
+    return np.minimum(x, x - _PRIME)
+
+
+def field_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b mod 2^61 - 1, elementwise over uint64 arrays of field elements.
+
+    Split each factor into a 30-bit high and a 31-bit low half.  With
+    2^61 = 1 and 2^62 = 2 mod p, the four partial products fold into a sum
+    below 2^64, so uint64 arithmetic never wraps.
+    """
+    a1, a0 = a >> np.uint64(31), a & _LO31
+    b1, b0 = b >> np.uint64(31), b & _LO31
+    mid = a1 * b0 + a0 * b1  # < 2^62; mid * 2^31 = (mid >> 30) + (mid & LO30) * 2^31
+    total = (
+        ((a1 * b1) << np.uint64(1))
+        + (mid >> np.uint64(30))
+        + ((mid & _LO30) << np.uint64(31))
+        + a0 * b0
+    )
+    return field_reduce(total)
+
+
+def field_pow(base: np.ndarray, exp: np.ndarray) -> np.ndarray:
+    """base ** exp mod 2^61 - 1, elementwise; `exp` holds nonnegative ints."""
+    out = np.ones(base.shape, dtype=np.uint64)
+    exp = np.asarray(exp, dtype=np.int64)
+    for bit in range(int(exp.max(initial=0)).bit_length()):
+        if bit:
+            base = field_mul(base, base)
+        out = np.where((exp >> bit) & 1 == 1, field_mul(out, base), out)
+    return out
+
+
+def accumulate(counts, id_sums, fps, seeds, slot, index, delta, universe: int) -> None:
+    """Add items (slot[t], index[t], delta[t]) into a block of stacked sketches.
+
+    `counts`, `id_sums` and `fps` are C-contiguous (S, R, B) arrays, changed
+    in place; row s holds the sketch with seed `seeds[s]` over indices
+    [0, universe).  The end state is that of one `update(index[t], delta[t])`
+    per item on the sketch of its slot, bit for bit: the sketch is linear
+    and stays reduced mod p.  Items are netted per (slot, index) first, so
+    cancelled updates cost nothing.  The rest are hashed in windows of at
+    most `WINDOW_CELLS` (item, row) pairs.  Counts and id sums are added
+    with integer `np.add.at`, as `update` adds them; fingerprints are summed
+    per distinct cell with a float64 bincount of their 31-bit and 30-bit
+    halves, exact because a window's sums stay below 2^16 * 2^31 < 2^53.
+    """
+    S, R, B = counts.shape
+    if not all(a.flags.c_contiguous for a in (counts, id_sums, fps)):
+        raise SketchError("sketch arrays must be C-contiguous")
+    # flat views: writes through them land in the blocks
+    counts_flat, id_sums_flat, fps_flat = (a.reshape(-1) for a in (counts, id_sums, fps))
+    key = np.asarray(slot, dtype=np.int64) * universe + np.asarray(index, dtype=np.int64)
+    order = np.argsort(key, kind="stable")
+    key, delta = key[order], np.asarray(delta, dtype=np.int64)[order]
+    if key.size == 0:
+        return
+    first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    net = np.add.reduceat(delta, first)
+    live = net != 0
+    key, net = key[first][live], net[live]
+    slot, index = np.divmod(key, universe)
+    starts = np.r_[True, slot[1:] != slot[:-1]]
+    rank = np.cumsum(starts) - 1  # ordinal of each item's slot
+    slots = slot[starts]
+    step = max(1, WINDOW_CELLS // R)
+    for a in range(0, key.size, step):
+        b = min(key.size, a + step)
+        # hash rows and field elements of the window's slots, then per item
+        seeds_w = seeds[slots[rank[a] : rank[b - 1] + 1]]
+        local = rank[a:b] - rank[a]
+        x, d = index[a:b], net[a:b]
+        bucket = bucket_hash(sketch_row_seeds(seeds_w, R)[local], x, B).astype(np.int64)
+        cell = ((slot[a:b, None] * R + np.arange(R)) * B + bucket).ravel()
+        np.add.at(counts_flat, cell, np.repeat(d, R))
+        np.add.at(id_sums_flat, cell, np.repeat(d * x, R))
+        incs = field_mul(
+            (d % FIELD_PRIME).astype(np.uint64), field_pow(sketch_fp_bases(seeds_w)[local], x)
+        )
+        cells, inverse = np.unique(cell, return_inverse=True)
+
+        def cell_sums(weights):
+            w = np.repeat(weights.astype(np.float64), R)
+            return np.bincount(inverse, weights=w, minlength=cells.size).astype(np.uint64)
+
+        # hi * 2^31 = (hi >> 30) + (hi & LO30) * 2^31 mod p; the sum stays below 2^62
+        lo, hi = cell_sums(incs & _LO31), cell_sums(incs >> np.uint64(31))
+        contrib = field_reduce(lo + (hi >> np.uint64(30)) + ((hi & _LO30) << np.uint64(31)))
+        fps_flat[cells] = field_reduce(fps_flat[cells] + contrib)
+
+
 class SparseRecoverySketch:
-    def __init__(self, params: SketchParams):
+    """One sketch: (R, 2k) arrays of counts, id sums and fingerprints.
+
+    `arrays`, when given, is the (counts, id_sums, fps) triple to work on,
+    such as the rows of a stacked block; otherwise the sketch starts at zero.
+    """
+
+    def __init__(self, params: SketchParams, arrays=None):
         self.params = params
         R, B = params.rows, params.buckets_per_row
-        self.counts = np.zeros((R, B), dtype=np.int64)
-        self.id_sums = np.zeros((R, B), dtype=np.int64)
-        self.fps = np.zeros((R, B), dtype=np.uint64)
-        # prf(seed, tag, r) unrolled: one vectorized mix over all rows
-        base = np.uint64(prf(params.seed, _ROW_TAG))
-        self._row_seeds = mix64_array(base ^ mix64_array(np.arange(R, dtype=np.uint64)))
+        if arrays is None:
+            arrays = (
+                np.zeros((R, B), dtype=np.int64),
+                np.zeros((R, B), dtype=np.int64),
+                np.zeros((R, B), dtype=np.uint64),
+            )
+        self.counts, self.id_sums, self.fps = arrays
+        self._seeds = np.array([params.seed & MASK64], dtype=np.uint64)
+        self._row_seeds = sketch_row_seeds(self._seeds, R)[0]
         # field element for the polynomial fingerprint, away from 0 and 1
         self._r = prf(params.seed, _FP_TAG) % (FIELD_PRIME - 3) + 2
         self._rows_idx = np.arange(R)
@@ -76,7 +208,11 @@ class SparseRecoverySketch:
         return prf_array(self._row_seeds, index) % np.uint64(self.params.buckets_per_row)
 
     def update(self, index: int, delta: int) -> None:
-        """Add `delta` to coordinate `index` of the summarized vector."""
+        """Add `delta` to coordinate `index` of the summarized vector.
+
+        The one-item reference path: `update_many` and the stream engine
+        must reach the same state as a loop of these calls.
+        """
         if not (0 <= index < self.params.universe_size):
             raise SketchError(f"index {index} out of range")
         if delta == 0:
@@ -90,65 +226,33 @@ class SparseRecoverySketch:
         )
 
     def update_many(self, indices, deltas) -> None:
-        """Apply a batch of updates in one pass; same end state as a loop
-        of `update` calls (the sketch is linear and stays reduced mod p).
-
-        Batches above ~2^22 items must be windowed by the caller so the
-        float64 bincount accumulators stay exact.
-        """
-        idx = np.asarray(indices, dtype=np.uint64)
-        d = np.asarray(deltas, dtype=np.int64)
+        """Apply a batch of updates in place, as a one-slot `accumulate`;
+        same end state as a loop of `update` calls."""
+        idx = np.asarray(indices, dtype=np.int64).ravel()
+        d = np.asarray(deltas, dtype=np.int64).ravel()
+        if idx.shape != d.shape:
+            raise SketchError("indices and deltas differ in length")
         if idx.size == 0:
             return
-        if int(idx.max()) >= self.params.universe_size:
+        if idx.min() < 0 or idx.max() >= self.params.universe_size:
             raise SketchError("index out of range")
-        R, B = self.counts.shape
-        buckets = mix64_array(
-            self._row_seeds[:, None] ^ mix64_array(idx)[None, :]
-        ) % np.uint64(B)
-        flat = (self._rows_idx[:, None] * B + buckets.astype(np.int64)).ravel()
-        cells = R * B
-
-        def accumulate(weights):
-            w = np.broadcast_to(weights[None, :], (R, idx.size)).ravel()
-            return np.bincount(flat, weights=w, minlength=cells)
-
-        self.counts += accumulate(d.astype(np.float64)).astype(np.int64).reshape(R, B)
-        self.id_sums += accumulate((d * idx.astype(np.int64)).astype(np.float64)).astype(
-            np.int64
-        ).reshape(R, B)
-
-        incs = np.array(
-            [
-                (int(dv) % FIELD_PRIME) * pow(self._r, int(iv), FIELD_PRIME) % FIELD_PRIME
-                for iv, dv in zip(idx.tolist(), d.tolist())
-            ],
-            dtype=np.uint64,
+        accumulate(
+            self.counts[None], self.id_sums[None], self.fps[None], self._seeds,
+            np.zeros(idx.size, dtype=np.int64), idx, d, self.params.universe_size,
         )
-        # per-cell sums of 61-bit field elements, exactly: split each into a
-        # 31-bit low and 30-bit high half (both sum exactly in float64), then
-        # fold the high half back with 2^61 = 1 mod p
-        lo_sum = accumulate((incs & np.uint64((1 << 31) - 1)).astype(np.float64))
-        hi_sum = accumulate((incs >> np.uint64(31)).astype(np.float64))
-        lo_sum = lo_sum.astype(np.uint64)
-        hi_sum = hi_sum.astype(np.uint64)
-        # hi_sum * 2^31 mod p via hi_sum = a*2^30 + b -> a + b*2^31
-        contrib = (
-            lo_sum
-            + (hi_sum >> np.uint64(30))
-            + ((hi_sum & np.uint64((1 << 30) - 1)) << np.uint64(31))
-        ) % np.uint64(FIELD_PRIME)
-        self.fps = (self.fps + contrib.reshape(R, B)) % np.uint64(FIELD_PRIME)
 
     def merge(self, other: "SparseRecoverySketch") -> "SparseRecoverySketch":
         """Bucket-wise sum; summarizes the sum of the two net vectors."""
         if self.params != other.params:
             raise SketchError("merge requires identical params and seed")
-        out = SparseRecoverySketch(self.params)
-        out.counts = self.counts + other.counts
-        out.id_sums = self.id_sums + other.id_sums
-        out.fps = (self.fps + other.fps) % np.uint64(FIELD_PRIME)
-        return out
+        return SparseRecoverySketch(
+            self.params,
+            (
+                self.counts + other.counts,
+                self.id_sums + other.id_sums,
+                (self.fps + other.fps) % _PRIME,
+            ),
+        )
 
     def recover(self):
         """Peel the net vector out of the sketch.
@@ -196,9 +300,7 @@ class SparseRecoverySketch:
             idx = np.array([i for i, _ in accepted], dtype=np.uint64)
             vals = np.array([v for _, v in accepted], dtype=np.int64)
             # bucket of item a in row r: same mix chain as _buckets, batched
-            buckets = mix64_array(
-                self._row_seeds[:, None] ^ mix64_array(idx)[None, :]
-            ) % np.uint64(self.params.buckets_per_row)
+            buckets = bucket_hash(self._row_seeds, idx, self.params.buckets_per_row).T
             rows_mat = np.broadcast_to(rows_idx[:, None], buckets.shape)
             np.subtract.at(counts, (rows_mat, buckets), vals[None, :])
             np.subtract.at(id_sums, (rows_mat, buckets), (vals * idx.astype(np.int64))[None, :])
@@ -240,18 +342,16 @@ class SparseRecoverySketch:
     def deserialize(cls, blob: bytes) -> "SparseRecoverySketch":
         n, k, p, rows, seed = struct.unpack_from("<qqdqQ", blob, 0)
         params = SketchParams(n, k, p, seed)
-        sk = cls(params)
         if rows != params.rows:
             raise SketchError("row count mismatch in snapshot header")
         R, B = params.rows, params.buckets_per_row
         off = struct.calcsize("<qqdqQ")
         cells = R * B
-        sk.counts = np.frombuffer(blob, dtype=np.int64, count=cells, offset=off).reshape(R, B).copy()
-        off += cells * 8
-        sk.id_sums = np.frombuffer(blob, dtype=np.int64, count=cells, offset=off).reshape(R, B).copy()
-        off += cells * 8
-        sk.fps = np.frombuffer(blob, dtype=np.uint64, count=cells, offset=off).reshape(R, B).copy()
-        return sk
+        arrays = []
+        for dtype in (np.int64, np.int64, np.uint64):
+            arrays.append(np.frombuffer(blob, dtype=dtype, count=cells, offset=off).reshape(R, B).copy())
+            off += cells * 8
+        return cls(params, tuple(arrays))
 
 
 def sketch_new(params: SketchParams) -> SparseRecoverySketch:

@@ -251,6 +251,25 @@ def test_partition_file_roundtrip(tmp_path):
     assert [c.tolist() for c in loaded] == [[0, 2], [1], [3, 4]]
 
 
+@pytest.mark.parametrize(
+    "body, lineno",
+    [
+        ("0 0\n1 0\n9 1\n", 3),  # vertex out of range
+        ("0 0\n-1 2\n", 2),  # negative vertex
+        ("0 0\n3\n", 2),  # truncated
+        ("0 0 0\n", 1),  # extra field
+        ("0 -2\n", 1),  # negative cluster id
+        ("0 0\n0 1\n", 2),  # vertex assigned twice
+        ("0 a\n", 1),  # not an integer
+    ],
+)
+def test_load_partition_rejects_bad_lines(tmp_path, body, lineno):
+    path = tmp_path / "p.txt"
+    path.write_text(body)
+    with pytest.raises(GraphError, match=f":{lineno}:"):
+        load_partition(path, 4)
+
+
 def test_conductance_oracle_agreement_on_weighted_loopy_graphs():
     rng = np.random.default_rng(13)
     for _ in range(10):

@@ -185,6 +185,24 @@ def test_cli_config_error_exit_code(tmp_path):
                  "--eps", "0.3", "--k", "2", "--out", str(tmp_path / "p.txt")]) == 2
 
 
+@pytest.mark.parametrize("line", ["+ 0", "+- 0 1", "+ 0 1 2", "+ 0 9", "- -1 2", "+ 3 3"])
+def test_cli_sketch_bad_stream_exit_code(tmp_path, line):
+    s = tmp_path / "s.txt"
+    s.write_text(f"8\n+ 0 1\n{line}\n")
+    assert main(["sketch", "--stream", str(s), "--eps", "0.5",
+                 "--out", str(tmp_path / "h.txt")]) == 2
+
+
+@pytest.mark.parametrize("line", ["9 1", "-1 2", "3", "3 1 1"])
+def test_cli_verify_bad_partition_exit_code(tmp_path, line):
+    g = tmp_path / "g.txt"
+    part = tmp_path / "p.txt"
+    save_graph(barbell_graph(2, 4, 1), g)
+    part.write_text("".join(f"{v} {v // 4}\n" for v in range(8)) + line + "\n")
+    assert main(["verify", "--graph", str(g), "--partition", str(part),
+                 "--eps", "0.3", "--phi", "0.01"]) == 2
+
+
 def test_cli_sketch_roundtrip_and_fail_exit(tmp_path):
     g = tmp_path / "g.txt"
     s = tmp_path / "s.txt"

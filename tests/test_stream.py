@@ -182,3 +182,31 @@ def test_stream_file_roundtrip(tmp_path):
     n, loaded = load_stream(path)
     assert n == 10
     assert loaded == upds
+
+
+@pytest.mark.parametrize(
+    "body, lineno",
+    [
+        ("+ 0\n", 2),  # truncated
+        ("+ 0 1\n- 0 1 2\n", 3),  # extra field
+        ("+- 0 1\n", 2),  # op other than exactly + or -
+        ("* 0 1\n", 2),
+        ("+ 0 4\n", 2),  # id out of range
+        ("+ -1 2\n", 2),  # negative id
+        ("+ 0 x\n", 2),  # not an integer
+        ("+ 0 1\n\n+ 2 2\n", 4),  # loop
+    ],
+)
+def test_load_stream_rejects_bad_lines(tmp_path, body, lineno):
+    path = tmp_path / "s.txt"
+    path.write_text("4\n" + body)
+    with pytest.raises(StreamError, match=f":{lineno}:"):
+        load_stream(path)
+
+
+@pytest.mark.parametrize("header", ["", "0\n", "-3\n", "4 5\n", "four\n"])
+def test_load_stream_rejects_bad_header(tmp_path, header):
+    path = tmp_path / "s.txt"
+    path.write_text(header + "+ 0 1\n")
+    with pytest.raises(StreamError, match=":1:"):
+        load_stream(path)

@@ -1,0 +1,278 @@
+"""Differential tests of the array stream engine against scalar references.
+
+The engine (`StreamState.apply`, `sketch.accumulate`) must leave every
+sketch bit-identical to a loop of scalar `SparseRecoverySketch.update`
+calls, whatever the batching, windowing or chunking.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from powercut import (
+    DecompParams,
+    Graph,
+    SketchParams,
+    SparseRecoverySketch,
+    SparsifierParams,
+    StreamSparsifierPools,
+    StreamState,
+    StreamUpdate,
+    barbell_graph,
+    decompose,
+    gen_stream,
+    sample_offline,
+)
+from powercut import sketch as sketch_mod
+from powercut import stream as stream_mod
+from powercut.prf import leading_ones, leading_ones_array, prf
+from powercut.sketch import SketchError
+from powercut.stream import (
+    _LEVEL_TAG,
+    _SKETCH_TAG,
+    StreamError,
+    pair_level,
+    pair_levels,
+    pick_level,
+)
+
+FAST = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+def params(**kw):
+    base = dict(delta=0.25, eps=0.5, upsilon_override=2.0, seed=3)
+    base.update(kw)
+    return SparsifierParams(**base)
+
+
+@st.composite
+def graphs(draw, max_n=12):
+    n = draw(st.integers(2, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [p for p, k in zip(pairs, keep) if k])
+
+
+@st.composite
+def churned_streams(draw, max_n=12):
+    G = draw(graphs(max_n))
+    churn = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    updates = gen_stream(G, churn=churn, seed=draw(st.integers(0, 1000)))
+    return G, updates
+
+
+# -- the sketch kernel -------------------------------------------------------------
+
+
+@FAST
+@given(
+    n=st.integers(1, 60),
+    k_frac=st.floats(0.0, 1.0),
+    p=st.sampled_from([0.2, 0.01, 1e-5]),
+    seed=st.integers(0, (1 << 64) - 1),
+    data=st.data(),
+)
+def test_update_many_equals_update_loop(n, k_frac, p, seed, data):
+    sp = SketchParams(n, max(1, round(k_frac * n)), p, seed)
+    items = data.draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from([-3, -1, 1, 1, 2])), max_size=80)
+    )
+    loop = SparseRecoverySketch(sp)
+    for i, d in items:
+        loop.update(i, d)
+    batch = SparseRecoverySketch(sp)
+    batch.update_many([i for i, _ in items], [d for _, d in items])
+    assert batch.serialize() == loop.serialize()
+    # the negated batch cancels it exactly, back to the zero sketch
+    batch.update_many([i for i, _ in items], [-d for _, d in items])
+    assert batch.serialize() == SparseRecoverySketch(sp).serialize()
+
+
+def test_update_many_windows_match_one_window(monkeypatch):
+    sp = SketchParams(50, 6, 1e-4, 17)
+    rng = np.random.default_rng(2)
+    idx, d = rng.integers(0, 50, 500), rng.choice([-1, 1, 2], 500)
+    whole = SparseRecoverySketch(sp)
+    whole.update_many(idx, d)
+    monkeypatch.setattr(sketch_mod, "WINDOW_CELLS", 1)  # one item per window
+    windowed = SparseRecoverySketch(sp)
+    windowed.update_many(idx, d)
+    assert windowed.serialize() == whole.serialize()
+
+
+def test_update_many_rejects_bad_input():
+    sk = SparseRecoverySketch(SketchParams(8, 2, 0.01, 1))
+    with pytest.raises(SketchError):
+        sk.update_many([8], [1])
+    with pytest.raises(SketchError):
+        sk.update_many([-1], [1])
+    with pytest.raises(SketchError):
+        sk.update_many([1, 2], [1])
+
+
+def test_field_helpers_match_python_ints():
+    P = sketch_mod.FIELD_PRIME
+    rng = np.random.default_rng(7)
+    a = rng.integers(0, P, 2000, dtype=np.uint64)
+    b = rng.integers(0, P, 2000, dtype=np.uint64)
+    e = rng.integers(0, 5000, 2000)
+    assert sketch_mod.field_mul(a, b).tolist() == [int(x) * int(y) % P for x, y in zip(a, b)]
+    assert sketch_mod.field_pow(a, e).tolist() == [pow(int(x), int(y), P) for x, y in zip(a, e)]
+    wide = np.array([0, P - 1, P, P + 1, 2 * P, (1 << 64) - 1], dtype=np.uint64)
+    assert sketch_mod.field_reduce(wide).tolist() == [int(x) % P for x in wide]
+
+
+# -- levels ------------------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, (1 << 64) - 1), max_size=50))
+def test_leading_ones_array_equals_scalar(words):
+    words = words + [0, (1 << 64) - 1, 1 << 63, (1 << 64) - 2]
+    got = leading_ones_array(np.array(words, dtype=np.uint64))
+    assert got.tolist() == [leading_ones(w) for w in words]
+
+
+def test_pair_levels_equal_scalar_pair_level():
+    rng = np.random.default_rng(4)
+    u, v = rng.integers(0, 500, 3000), rng.integers(0, 500, 3000)
+    seed = prf(11, _LEVEL_TAG)
+    assert pair_levels(seed, u, v).tolist() == [
+        pair_level(seed, a, b) for a, b in zip(u.tolist(), v.tolist())
+    ]
+
+
+def _sample_offline_loop(G, sp):
+    """The per-edge reference for `sample_offline`."""
+    level_seed = prf(sp.seed, _LEVEL_TAG)
+    ups = sp.upsilon_for(max(G.n, 1))
+    top = max(1, int(np.ceil(np.log2(G.n)))) if G.n > 1 else 1
+    j = [pick_level(float(G.deg[v]), ups, top) for v in range(G.n)]
+    edges = []
+    for u, v in zip(G.edge_u.tolist(), G.edge_v.tolist()):
+        j_min = min(j[u], j[v])
+        if pair_level(level_seed, u, v) >= j_min:
+            edges.append((u, v, 2.0 ** j_min))
+    return sorted(edges)
+
+
+@FAST
+@given(G=graphs(max_n=24), seed=st.integers(0, 10**6), ups=st.sampled_from([0.5, 1.0, 3.0]))
+def test_sample_offline_equals_per_edge_loop(G, seed, ups):
+    sp = params(upsilon_override=ups, seed=seed)
+    assert sample_offline(G, sp).edge_list() == _sample_offline_loop(G, sp)
+
+
+# -- the stream state --------------------------------------------------------------
+
+
+@FAST
+@given(stream=churned_streams(), seed=st.integers(0, 10**6), data=st.data())
+def test_process_batching_gives_identical_state(stream, seed, data):
+    G, updates = stream
+    sp = params(seed=seed)
+    one = StreamState(G.n, sp)
+    for upd in updates:
+        one.process(upd)
+    whole = StreamState(G.n, sp)
+    whole.process_many(updates)
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(updates)), max_size=4)))
+    split = StreamState(G.n, sp)
+    for lo, hi in zip([0] + cuts, cuts + [len(updates)]):
+        split.process_many(updates[lo:hi])
+    # compare bucket counts first: serialize materializes every slot
+    assert one.total_buckets() == whole.total_buckets() == split.total_buckets()
+    assert one.serialize() == whole.serialize() == split.serialize()
+
+
+@FAST
+@given(stream=churned_streams(max_n=10), seed=st.integers(0, 10**6))
+def test_each_slot_matches_scalar_reference(stream, seed):
+    G, updates = stream
+    sp = params(seed=seed)
+    state = StreamState(G.n, sp)
+    state.process_many(updates)
+    refs = {}
+    for upd in updates:
+        for i in range(min(state.edge_level(upd.u, upd.v), state.levels) + 1):
+            for vtx, idx in ((upd.u, upd.v), (upd.v, upd.u)):
+                ref = refs.get((i, vtx))
+                if ref is None:
+                    seed_iv = prf(sp.seed, _SKETCH_TAG, i, vtx)
+                    ref = SparseRecoverySketch(SketchParams(G.n, state.k, state.sketch_p, seed_iv))
+                    refs[(i, vtx)] = ref
+                ref.update(idx, upd.delta)
+    shape = SketchParams(G.n, state.k, state.sketch_p, 0)
+    assert state.total_buckets() == len(refs) * shape.rows * shape.buckets_per_row
+    for (i, vtx), ref in refs.items():
+        assert state.sketch_at(i, vtx).serialize() == ref.serialize()
+    assert np.array_equal(state.deg, G.deg.astype(np.int64))
+
+
+def test_engine_chunks_and_windows_match_one_pass(monkeypatch):
+    G = barbell_graph(2, 6, 1)
+    updates = gen_stream(G, churn=1.0, seed=3)
+    whole = StreamState(G.n, params(seed=5))
+    whole.process_many(updates)
+    monkeypatch.setattr(stream_mod, "UPDATE_CHUNK", 7)
+    monkeypatch.setattr(sketch_mod, "WINDOW_CELLS", 64)
+    chunked = StreamState(G.n, params(seed=5))
+    chunked.process_many(updates)
+    assert chunked.total_buckets() == whole.total_buckets()
+    assert chunked.serialize() == whole.serialize()
+
+
+def test_construction_allocates_no_rows():
+    state = StreamState(40, params())
+    assert state.total_buckets() == 0
+    assert state.memory_bytes() == state.deg.nbytes
+
+
+def test_bad_pair_leaves_state_untouched():
+    state = StreamState(6, params())
+    state.process(StreamUpdate(True, 0, 1))
+    before = (state.total_buckets(), state.deg.copy())
+    with pytest.raises(StreamError):
+        state.process_many([StreamUpdate(True, 2, 3), StreamUpdate(True, 4, 6)])
+    with pytest.raises(StreamError):
+        state.apply(np.array([1]), np.array([1]), np.array([1]))
+    assert state.total_buckets() == before[0]
+    assert np.array_equal(state.deg, before[1])
+    with pytest.raises(StreamError):
+        state.sketch_at(state.levels + 1, 0)
+
+
+# -- pools -------------------------------------------------------------------------
+
+
+def _pools_and_stream(seed):
+    B = barbell_graph(2, 4, 1)
+    params_d = DecompParams(eps=0.3, quality_k=2, seed=seed)
+    return B, params_d, gen_stream(B, churn=0.5, seed=seed)
+
+
+def test_pools_feed_many_equals_per_update_feed():
+    B, params_d, updates = _pools_and_stream(42)
+    batch = StreamSparsifierPools(B.n, params_d, spares=1)
+    batch.feed_many(updates)
+    single = StreamSparsifierPools(B.n, params_d, spares=1)
+    for upd in updates:
+        single.feed(upd)
+    for a, b in zip(batch.all_states(), single.all_states()):
+        assert a.total_buckets() == b.total_buckets()
+        assert np.array_equal(a.deg, b.deg)
+    _, rep_a = decompose(batch, params_d, reference_graph=B)
+    _, rep_b = decompose(single, params_d, reference_graph=B)
+    assert rep_a.to_json() == rep_b.to_json()
+    for a, b in zip(batch.all_states(), single.all_states()):
+        assert a.serialize() == b.serialize()
+
+
+def test_pools_reject_bad_batch_before_any_state_changes():
+    B, params_d, updates = _pools_and_stream(7)
+    pools = StreamSparsifierPools(B.n, params_d, spares=0)
+    with pytest.raises(StreamError):
+        pools.feed_many(updates + [StreamUpdate(True, 0, B.n)])
+    assert pools.memory_bytes() == sum(st.deg.nbytes for st in pools.all_states())
+    assert all(not st.deg.any() for st in pools.all_states())
