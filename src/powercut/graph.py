@@ -16,6 +16,7 @@ relative slack `REL_SLACK` to absorb float rounding.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -28,6 +29,14 @@ BRUTE_FORCE_LIMIT = 22
 
 class GraphError(ValueError):
     pass
+
+
+def _degrees(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Weighted degrees with loops counted once, summed edge by edge over the
+    u ends and then over the non-loop v ends."""
+    nonloop = u != v
+    deg = np.bincount(np.concatenate([u, v[nonloop]]), np.concatenate([w, w[nonloop]]), minlength=n)
+    return deg.astype(np.float64, copy=False)  # an empty bincount is integer
 
 
 def as_vertex_set(S, n: int) -> np.ndarray:
@@ -45,39 +54,48 @@ def as_vertex_set(S, n: int) -> np.ndarray:
 class Graph:
     """Weighted undirected multigraph on vertices 0..n-1, self-loops allowed.
 
-    `edges` is an iterable of (u, v) or (u, v, w) with w > 0 (default 1).
-    Parallel edges are kept as distinct entries.
+    `edges` is an iterable of (u, v) or (u, v, w) with finite w > 0
+    (default 1).  Parallel edges are kept as distinct entries.
     """
 
     def __init__(self, n: int, edges=()):
+        edges = list(edges)
+        if any(len(e) not in (2, 3) for e in edges):
+            raise GraphError("edges must be (u, v) or (u, v, w) tuples")
+        self._set_edges(
+            n,
+            [e[0] for e in edges],
+            [e[1] for e in edges],
+            [e[2] if len(e) == 3 else 1.0 for e in edges],
+        )
+
+    @classmethod
+    def from_arrays(cls, n: int, u, v, w) -> "Graph":
+        """Graph from parallel edge arrays, validated like the constructor."""
+        G = cls.__new__(cls)
+        G._set_edges(n, u, v, w)
+        return G
+
+    def _set_edges(self, n, u, v, w) -> None:
         if n < 0:
             raise GraphError("n must be nonnegative")
         self.n = int(n)
-        us, vs, ws = [], [], []
-        for e in edges:
-            if len(e) == 2:
-                u, v = e
-                w = 1.0
-            else:
-                u, v, w = e
-            u, v = int(u), int(v)
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(f"edge ({u},{v}) out of range [0, {n})")
-            if w <= 0:
-                raise GraphError(f"edge ({u},{v}) has nonpositive weight {w}")
-            if u > v:
-                u, v = v, u
-            us.append(u)
-            vs.append(v)
-            ws.append(float(w))
-        self.edge_u = np.asarray(us, dtype=np.int64)
-        self.edge_v = np.asarray(vs, dtype=np.int64)
-        self.edge_w = np.asarray(ws, dtype=np.float64)
-        deg = np.zeros(n, dtype=np.float64)
-        np.add.at(deg, self.edge_u, self.edge_w)
-        nonloop = self.edge_u != self.edge_v
-        np.add.at(deg, self.edge_v[nonloop], self.edge_w[nonloop])
-        self.deg = deg
+        u = np.asarray(u, dtype=np.int64)
+        v = np.asarray(v, dtype=np.int64)
+        w = np.array(w, dtype=np.float64)
+        if not (u.ndim == 1 and u.shape == v.shape == w.shape):
+            raise GraphError("edge arrays must be one-dimensional and of equal length")
+        self.edge_u = np.minimum(u, v)
+        self.edge_v = np.maximum(u, v)
+        self.edge_w = w
+        ok = (self.edge_u >= 0) & (self.edge_v < self.n) & (w > 0) & (w < np.inf)
+        if not ok.all():
+            i = int(np.argmin(ok))
+            u, v = self.edge_u[i], self.edge_v[i]
+            if u < 0 or v >= self.n:
+                raise GraphError(f"edge ({u},{v}) out of range [0, {self.n})")
+            raise GraphError(f"edge ({u},{v}) has non-finite or nonpositive weight {w[i]}")
+        self.deg = _degrees(self.n, self.edge_u, self.edge_v, w)
         self.deg.flags.writeable = False
 
     # -- basic quantities ---------------------------------------------------
@@ -94,11 +112,6 @@ class Graph:
         """Edges as (u, v, w) tuples, in storage order."""
         return list(zip(self.edge_u.tolist(), self.edge_v.tolist(), self.edge_w.tolist()))
 
-    def _mask(self, S: np.ndarray) -> np.ndarray:
-        mask = np.zeros(self.n, dtype=bool)
-        mask[S] = True
-        return mask
-
     def volume(self, S) -> float:
         """Vol(S): sum of weighted degrees over S (loops counted once)."""
         S = as_vertex_set(S, self.n)
@@ -112,7 +125,8 @@ class Graph:
         S = as_vertex_set(S, self.n)
         if S.size == 0 or S.size == self.n:
             raise GraphError("invalid cut: S must be nonempty and proper")
-        mask = self._mask(S)
+        mask = np.zeros(self.n, dtype=bool)
+        mask[S] = True
         cross = mask[self.edge_u] != mask[self.edge_v]
         return float(self.edge_w[cross].sum())
 
@@ -146,34 +160,93 @@ class Graph:
         carrying its lost degree, so deg_{G{C}}(v) == deg_G(v) exactly.
         """
         C = as_vertex_set(C, self.n)
-        local = -np.ones(self.n, dtype=np.int64)
+        local = np.full(self.n, -1, dtype=np.int64)
         local[C] = np.arange(C.size)
-        mask = self._mask(C)
-        keep = mask[self.edge_u] & mask[self.edge_v]
-        lu = local[self.edge_u[keep]]
-        lv = local[self.edge_v[keep]]
-        lw = self.edge_w[keep]
-        inner_deg = np.zeros(C.size, dtype=np.float64)
-        np.add.at(inner_deg, lu, lw)
-        nonloop = lu != lv
-        np.add.at(inner_deg, lv[nonloop], lw[nonloop])
-        edges = list(zip(lu.tolist(), lv.tolist(), lw.tolist()))
+        lu, lv = local[self.edge_u], local[self.edge_v]
+        keep = (lu >= 0) & (lv >= 0)
+        lu, lv, lw = lu[keep], lv[keep], self.edge_w[keep]
+        inner_deg = _degrees(C.size, lu, lv, lw)
         lost = self.deg[C] - inner_deg
-        for i, missing in enumerate(lost):
-            # float dust below REL_SLACK is rounding, not genuine lost degree
-            if missing > REL_SLACK * max(1.0, self.deg[C[i]]):
-                edges.append((i, i, float(missing)))
-        return Graph(C.size, edges)
+        # float dust below REL_SLACK is rounding, not genuine lost degree
+        loops = np.flatnonzero(lost > REL_SLACK * np.maximum(1.0, self.deg[C]))
+        return Graph.from_arrays(
+            C.size,
+            np.concatenate([lu, loops]),
+            np.concatenate([lv, loops]),
+            np.concatenate([lw, lost[loops]]),
+        )
 
 
 # -- cut enumeration helpers (n <= BRUTE_FORCE_LIMIT) ------------------------
 
+# tables over up to this many mask bits come from one bit table; wider ones
+# combine a low-bit and a high-bit table
+_ONE_TABLE_BITS = 10
+
+
+@functools.lru_cache(maxsize=None)
+def _bits(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only tables over all k-bit masks s: the (2^k, k) rows of bits of
+    s, and the (2^k, k*k) rows of their outer products, so that one product
+    evaluates a linear or a quadratic form on every subset at once."""
+    bits = ((np.arange(1 << k)[:, None] >> np.arange(k)) & 1).astype(np.float64)
+    pairs = (bits[:, :, None] * bits[:, None, :]).reshape(1 << k, k * k)
+    bits.flags.writeable = pairs.flags.writeable = False
+    return bits, pairs
+
+
+def _split(k: int) -> tuple[int, int]:
+    """Number of low and high bits of a k-bit mask: one table up to
+    _ONE_TABLE_BITS bits, else two tables of about k/2 bits."""
+    low = k if k <= _ONE_TABLE_BITS else (k + 1) // 2
+    return low, k - low
+
+
+def subset_sums(x: np.ndarray) -> np.ndarray:
+    """Table t of length 2^len(x) with t[s] = sum of x[v] over the bits v of s."""
+    x = np.asarray(x, dtype=np.float64)
+    low, high = _split(x.size)
+    table = _bits(low)[0].dot(x[:low])
+    if high:
+        table = (_bits(high)[0].dot(x[low:])[:, None] + table).ravel()
+    return table
+
+
+def _cut_weight_table(G: Graph) -> np.ndarray:
+    """Table of cut_weight(S) for every S within vertices 0..n-2, by mask.
+
+    The cut weight is the Laplacian quadratic form q(S) = b_S^T L b_S (loops
+    never cross).  The table over the low bits is one product with the
+    outer-product rows of the bit table.  With high bits too, splitting S
+    into a high part h and a low part l gives
+    q(h | l) = q(h) + q(l) + 2 b_h^T L b_l, and the (h, l) grid raveled
+    row-major is mask order.  Entry 0 is the empty set.
+    """
+    n = G.n
+    W = np.bincount(G.edge_u * n + G.edge_v, G.edge_w, minlength=n * n).reshape(n, n)
+    W.reshape(-1)[:: n + 1] = 0.0  # loops never cross
+    W += W.T
+    L = np.diag(W.sum(axis=1)) - W
+    low, high = _split(n - 1)
+    lo = slice(0, low)
+    table = _bits(low)[1].dot(L[lo, lo].ravel())
+    if high:
+        hi = slice(low, n - 1)
+        grid = _bits(high)[0].dot(L[hi, lo]).dot(_bits(low)[0].T)
+        grid *= 2.0
+        grid += _bits(high)[1].dot(L[hi, hi].ravel())[:, None]
+        grid += table
+        table = grid.ravel()
+    # cut weights are nonnegative; a negative entry is cancellation dust
+    return np.maximum(table, 0.0, out=table)
+
 
 def enumerate_cut_stats(G: Graph, batch: int = 1 << 16):
-    """Yield (masks, cut_weights, vol_small) over all unordered nontrivial cuts.
+    """Yield (masks, cut_weights, vol_small, vol_s) over all unordered cuts.
 
     Each cut appears once, as the side S that excludes vertex n-1; mask bit v
-    set means v in S.  vol_small is min(Vol(S), Vol(complement)).
+    set means v in S.  vol_small is min(Vol(S), Vol(complement)).  Batches
+    are slices of whole-range cut-weight and volume tables, in mask order.
     """
     n = G.n
     if n > BRUTE_FORCE_LIMIT:
@@ -181,22 +254,17 @@ def enumerate_cut_stats(G: Graph, batch: int = 1 << 16):
     if n < 2:
         return
     total = G.total_volume
-    eu, ev, ew = G.edge_u, G.edge_v, G.edge_w
-    vids = np.arange(n, dtype=np.int64)
-    top = 1 << (n - 1)
-    for start in range(1, top, batch):
-        masks = np.arange(start, min(start + batch, top), dtype=np.int64)
-        bits_u = (masks[:, None] >> eu[None, :]) & 1
-        bits_v = (masks[:, None] >> ev[None, :]) & 1
-        cw = ((bits_u != bits_v) * ew[None, :]).sum(axis=1)
-        in_s = ((masks[:, None] >> vids[None, :]) & 1).astype(np.float64)
-        vol_s = in_s @ G.deg
-        vol_small = np.minimum(vol_s, total - vol_s)
-        yield masks, cw, vol_small, vol_s
+    cw = _cut_weight_table(G)
+    vol = subset_sums(G.deg[: n - 1])
+    for start in range(1, cw.size, batch):
+        stop = min(start + batch, cw.size)
+        vol_s = vol[start:stop]
+        masks = np.arange(start, stop, dtype=np.int64)
+        yield masks, cw[start:stop], np.minimum(vol_s, total - vol_s), vol_s
 
 
 def mask_to_set(mask: int, n: int) -> np.ndarray:
-    return np.array([v for v in range(n) if (mask >> v) & 1], dtype=np.int64)
+    return np.flatnonzero((mask >> np.arange(n)) & 1)
 
 
 def min_conductance_bruteforce(G: Graph):
@@ -264,21 +332,41 @@ def save_graph(G: Graph, path) -> None:
 
 
 def load_graph(path) -> Graph:
+    """Read the header "n m" and exactly m edge lines "u v" or "u v w";
+    blank lines are skipped.  A malformed, out-of-range, nonpositive or
+    non-finite edge, a missing header and too few or too many edge lines
+    raise GraphError naming the line."""
     with open(path) as f:
         header = f.readline().split()
-        if len(header) != 2:
-            raise GraphError(f"{path}: expected header 'n m'")
+        if len(header) != 2 or not all(h.isdigit() for h in header):
+            raise GraphError(f"{path}:1: expected header 'n m' of two nonnegative integers")
         n, m = int(header[0]), int(header[1])
-        edges = []
-        for _ in range(m):
-            parts = f.readline().split()
-            if len(parts) == 2:
-                edges.append((int(parts[0]), int(parts[1])))
-            elif len(parts) == 3:
-                edges.append((int(parts[0]), int(parts[1]), float(parts[2])))
-            else:
-                raise GraphError(f"{path}: malformed edge line {parts}")
-    return Graph(n, edges)
+        us, vs, ws = [], [], []
+        lineno = 1
+        for lineno, line in enumerate(f, start=2):
+            parts = line.split()
+            if not parts:
+                continue
+            where = f"{path}:{lineno}"
+            if len(us) == m:
+                raise GraphError(f"{where}: more edge lines than the header's m = {m}")
+            if len(parts) not in (2, 3):
+                raise GraphError(f"{where}: expected 'u v' or 'u v w', got {line.strip()!r}")
+            try:
+                u, v = int(parts[0]), int(parts[1])
+                w = float(parts[2]) if len(parts) == 3 else 1.0
+            except ValueError:
+                raise GraphError(f"{where}: ids must be integers and the weight a number") from None
+            if not (0 <= u < n and 0 <= v < n):
+                raise GraphError(f"{where}: vertex id out of range [0, {n})")
+            if not 0.0 < w < math.inf:
+                raise GraphError(f"{where}: weight {parts[2]} is not finite and positive")
+            us.append(u)
+            vs.append(v)
+            ws.append(w)
+    if len(us) < m:
+        raise GraphError(f"{path}:{lineno + 1}: file ends after {len(us)} of m = {m} edge lines")
+    return Graph.from_arrays(n, us, vs, ws)
 
 
 def save_partition(clusters, n: int, path) -> None:

@@ -151,6 +151,8 @@ def accumulate(counts, id_sums, fps, seeds, slot, index, delta, universe: int) -
     net = np.add.reduceat(delta, first)
     live = net != 0
     key, net = key[first][live], net[live]
+    if key.size == 0:  # every item cancelled
+        return
     slot, index = np.divmod(key, universe)
     starts = np.r_[True, slot[1:] != slot[:-1]]
     rank = np.cumsum(starts) - 1  # ordinal of each item's slot

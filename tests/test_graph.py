@@ -232,6 +232,70 @@ def test_graph_rejects_bad_input():
         Graph(2, [(0, 1, 0.0)])
     with pytest.raises(GraphError):
         Graph(2, [(0, 1, -1.0)])
+    with pytest.raises(GraphError):
+        Graph(2, [(0, 1), (0, 1, np.nan)])
+    with pytest.raises(GraphError):
+        Graph(2, [(0, 1), (0, 1, np.inf)])
+
+
+@pytest.mark.parametrize(
+    "u, v, w", [(2, 0, 1.0), (-1, 1, 1.0), (0, 1, 0.0), (0, 1, -1.0), (0, 1, np.nan), (0, 1, np.inf)]
+)
+def test_from_arrays_rejects_bad_edges(u, v, w):
+    with pytest.raises(GraphError):
+        Graph.from_arrays(2, [0, u], [1, v], [1.0, w])
+
+
+def test_from_arrays_rejects_ragged_arrays():
+    with pytest.raises(GraphError):
+        Graph.from_arrays(3, [0, 1], [1], [1.0, 1.0])
+    with pytest.raises(GraphError):
+        Graph(3, [(0, 1, 1.0, 2.0)])
+
+
+def test_from_arrays_matches_tuple_constructor():
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        n = int(rng.integers(1, 10))
+        m = int(rng.integers(0, 25))
+        u, v = rng.integers(0, n, m), rng.integers(0, n, m)
+        w = rng.random(m) * 5 + 0.01
+        A = Graph.from_arrays(n, u, v, w)
+        B = Graph(n, list(zip(u.tolist(), v.tolist(), w.tolist())))
+        assert A.edge_list() == B.edge_list()
+        assert A.deg.tobytes() == B.deg.tobytes()
+        assert np.all(A.edge_u <= A.edge_v)
+
+
+def reference_induce_with_loops(G, C):
+    """Tuple-by-tuple induced subgraph: kept edges in storage order, then one
+    loop per vertex carrying its lost degree."""
+    C = sorted(int(c) for c in C)
+    local = {c: i for i, c in enumerate(C)}
+    edges = [(local[u], local[v], w) for u, v, w in G.edge_list() if u in local and v in local]
+    inner = np.zeros(len(C))
+    for a, b, w in edges:
+        inner[a] += w
+    for a, b, w in edges:
+        if a != b:
+            inner[b] += w
+    for i, c in enumerate(C):
+        missing = G.deg[c] - inner[i]
+        if missing > 1e-9 * max(1.0, G.deg[c]):
+            edges.append((i, i, float(missing)))
+    return Graph(len(C), edges)
+
+
+def test_induce_with_loops_matches_tuple_reference():
+    rng = np.random.default_rng(17)
+    for _ in range(30):
+        n = int(rng.integers(2, 12))
+        m = int(rng.integers(0, 40))
+        G = Graph.from_arrays(n, rng.integers(0, n, m), rng.integers(0, n, m), rng.random(m) + 0.1)
+        C = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+        got, want = G.induce_with_loops(C), reference_induce_with_loops(G, C)
+        assert got.edge_list() == want.edge_list()
+        assert got.deg.tobytes() == want.deg.tobytes()
 
 
 def test_graph_file_roundtrip(tmp_path):
@@ -241,6 +305,38 @@ def test_graph_file_roundtrip(tmp_path):
     G2 = load_graph(path)
     assert G2.n == G.n
     assert G2.edge_list() == G.edge_list()
+
+
+@pytest.mark.parametrize(
+    "body, lineno",
+    [
+        ("3 1\n0 1\n1 2\n", 3),  # more edge lines than m
+        ("3 2\n0 1\n", 3),  # file ends early
+        ("3 2\n", 2),  # no edge lines at all
+        ("x 1\n0 1\n", 1),  # non-integer header
+        ("3\n", 1),  # header without m
+        ("3 1\n0 1 inf\n", 2),
+        ("3 1\n0 1 nan\n", 2),
+        ("3 1\n0 1 0\n", 2),
+        ("3 1\n0 1 -2\n", 2),
+        ("3 1\n0 3\n", 2),  # vertex out of range
+        ("3 1\n-1 2\n", 2),  # negative vertex
+        ("3 1\n0\n", 2),  # truncated edge line
+        ("3 1\n0 1 1 1\n", 2),  # extra field
+        ("3 1\n0 a\n", 2),  # not an integer
+    ],
+)
+def test_load_graph_rejects_bad_lines(tmp_path, body, lineno):
+    path = tmp_path / "g.txt"
+    path.write_text(body)
+    with pytest.raises(GraphError, match=f":{lineno}:"):
+        load_graph(path)
+
+
+def test_load_graph_skips_blank_lines(tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_text("3 2\n0 1\n\n1 2 2.5\n\n")
+    assert load_graph(path).edge_list() == [(0, 1, 1.0), (1, 2, 2.5)]
 
 
 def test_partition_file_roundtrip(tmp_path):

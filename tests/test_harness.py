@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -201,6 +205,27 @@ def test_cli_verify_bad_partition_exit_code(tmp_path, line):
     part.write_text("".join(f"{v} {v // 4}\n" for v in range(8)) + line + "\n")
     assert main(["verify", "--graph", str(g), "--partition", str(part),
                  "--eps", "0.3", "--phi", "0.01"]) == 2
+
+
+@pytest.mark.parametrize(
+    "body", ["3 1\n0 1\n1 2\n", "3 2\n0 1\n", "x 1\n0 1\n", "3 1\n0 1 inf\n",
+             "3 1\n0 1 nan\n", "3 1\n0 5\n", "3 1\n0 1 1 1\n"]
+)
+def test_cli_decompose_bad_graph_exit_code(tmp_path, body):
+    g = tmp_path / "g.txt"
+    g.write_text(body)
+    assert main(["decompose", "--graph", str(g), "--eps", "0.3", "--k", "2",
+                 "--mode", "exact", "--out", str(tmp_path / "p.txt")]) == 2
+
+
+@pytest.mark.parametrize("demo", ["01_cuts_and_volumes.py", "05_balanced_cuts.py"])
+def test_enumeration_demo_runs(demo):
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, str(root / "demos" / demo)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
 
 
 def test_cli_sketch_roundtrip_and_fail_exit(tmp_path):

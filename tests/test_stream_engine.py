@@ -186,6 +186,16 @@ def test_process_batching_gives_identical_state(stream, seed, data):
     assert one.serialize() == whole.serialize() == split.serialize()
 
 
+def test_batch_that_cancels_out_matches_per_update_state():
+    ups = [StreamUpdate(True, 0, 1), StreamUpdate(False, 0, 1)]
+    one = StreamState(4, params(seed=1))
+    for upd in ups:
+        one.process(upd)
+    whole = StreamState(4, params(seed=1))
+    whole.process_many(ups)
+    assert one.serialize() == whole.serialize()
+
+
 @FAST
 @given(stream=churned_streams(max_n=10), seed=st.integers(0, 10**6))
 def test_each_slot_matches_scalar_reference(stream, seed):
