@@ -118,24 +118,31 @@ def exhaustive_balanced_cut(
 
 @dataclass
 class _ClusterView:
-    """Adjacency of H with loops dropped, plus per-vertex loop weights."""
+    """H's nonloop edges as CSR-ordered entries: each edge {u, v} appears as
+    u -> v and v -> u, grouped by source vertex, each row in edge order."""
 
     n: int
-    adj: list  # adj[v] = list of (nbr, w) over nonloop edges
-    loop: np.ndarray
+    row: np.ndarray  # source vertex of each entry, ascending
+    nbr: np.ndarray
+    wt: np.ndarray
     deg_h: np.ndarray
 
     @classmethod
     def from_graph(cls, H: Graph) -> "_ClusterView":
-        adj = [[] for _ in range(H.n)]
-        loop = np.zeros(H.n)
-        for u, v, w in zip(H.edge_u.tolist(), H.edge_v.tolist(), H.edge_w.tolist()):
-            if u == v:
-                loop[u] += w
-            else:
-                adj[u].append((v, w))
-                adj[v].append((u, w))
-        return cls(H.n, adj, loop, H.deg.copy())
+        nonloop = H.edge_u != H.edge_v
+        u, v = H.edge_u[nonloop], H.edge_v[nonloop]
+        src = np.column_stack([u, v]).ravel()
+        by_row = np.argsort(src, kind="stable")
+        dst = np.column_stack([v, u]).ravel()
+        wt = np.repeat(H.edge_w[nonloop], 2)
+        return cls(H.n, src[by_row], dst[by_row], wt[by_row], H.deg.copy())
+
+    def inside(self, ids: np.ndarray):
+        """(row, nbr, wt) of the entries with both ends in ids, in row order."""
+        mask = np.zeros(self.n, dtype=bool)
+        mask[ids] = True
+        keep = mask[self.row] & mask[self.nbr]
+        return self.row[keep], self.nbr[keep], self.wt[keep]
 
 
 def _components(view: _ClusterView, active: np.ndarray) -> list[np.ndarray]:
@@ -143,20 +150,15 @@ def _components(view: _ClusterView, active: np.ndarray) -> list[np.ndarray]:
     sub = np.flatnonzero(active)
     pos = -np.ones(view.n, dtype=np.int64)
     pos[sub] = np.arange(sub.size)
-    rows, cols = [], []
-    for u in sub.tolist():
-        for v, _ in view.adj[u]:
-            if active[v]:
-                rows.append(pos[u])
-                cols.append(pos[v])
+    rows, cols, _ = view.inside(sub)
     mat = csr_matrix(
-        (np.ones(len(rows)), (rows, cols)), shape=(sub.size, sub.size)
+        (np.ones(rows.size), (pos[rows], pos[cols])), shape=(sub.size, sub.size)
     )
     ncomp, labels = connected_components(mat, directed=False)
     return [sub[labels == c] for c in range(ncomp)]
 
 
-def _second_vector(view: _ClusterView, active_ids: np.ndarray, phi: float,
+def _second_vector(view: _ClusterView, active_ids: np.ndarray,
                    max_iter: int, tol: float) -> np.ndarray:
     """Approximate 2nd eigenvector of the lazy walk matrix on the active set.
 
@@ -167,33 +169,26 @@ def _second_vector(view: _ClusterView, active_ids: np.ndarray, phi: float,
     n_a = active_ids.size
     pos = -np.ones(view.n, dtype=np.int64)
     pos[active_ids] = np.arange(n_a)
-    rows, cols, vals = [], [], []
-    inner = np.zeros(n_a)
-    active_mask = np.zeros(view.n, dtype=bool)
-    active_mask[active_ids] = True
-    for u in active_ids.tolist():
-        for v, w in view.adj[u]:
-            if active_mask[v]:
-                rows.append(pos[u])
-                cols.append(pos[v])
-                vals.append(w)
-                inner[pos[u]] += w
+    rows, cols, vals = view.inside(active_ids)
+    rows, cols = pos[rows], pos[cols]
+    # summed entry by entry in row order, like a per-row loop
+    inner = np.bincount(rows, vals, minlength=n_a)
     d = view.deg_h[active_ids]
     diag = d - inner  # loops plus peeled-away degree
     A = csr_matrix((vals, (rows, cols)), shape=(n_a, n_a))
     inv_sqrt = 1.0 / np.sqrt(d)
     u_top = np.sqrt(d)
-    u_top /= np.linalg.norm(u_top)
+    u_top /= math.sqrt(float(u_top @ u_top))
 
     # deterministic start vector, generically non-orthogonal to the target
     x = np.array([math.sin(1.0 + 0.7 * i) for i in range(n_a)])
     x -= u_top * (u_top @ x)
-    nrm = np.linalg.norm(x)
+    nrm = math.sqrt(float(x @ x))
     if nrm < 1e-14:
         x = np.ones(n_a)
         x[::2] = -1.0
         x -= u_top * (u_top @ x)
-        nrm = np.linalg.norm(x)
+        nrm = math.sqrt(float(x @ x))
     x /= nrm
 
     def walk(y):
@@ -201,15 +196,18 @@ def _second_vector(view: _ClusterView, active_ids: np.ndarray, phi: float,
         z = A @ z + diag * z
         return 0.5 * (y + inv_sqrt * z)
 
+    # walk(y) serves both the Rayleigh quotient of y and the next step
+    wx = walk(x)
     prev_r = math.inf
     for _ in range(max_iter):
-        y = walk(x)
+        y = wx
         y -= u_top * (u_top @ y)
-        nrm = np.linalg.norm(y)
+        nrm = math.sqrt(float(y @ y))
         if nrm < 1e-14:
             return x
         y /= nrm
-        r = float(y @ walk(y))
+        wx = walk(y)
+        r = float(y @ wx)
         if abs(r - prev_r) <= tol * max(1.0, abs(r)):
             return y
         prev_r = r
@@ -224,35 +222,27 @@ def _best_sweep_prefix(view: _ClusterView, order: np.ndarray, deg_g: np.ndarray,
     """Most balanced prefix cut with estimated sparsity below phi_limit.
 
     Returns (local_prefix_len, phi_est) or None.  Sparsity of a prefix uses
-    the min-side volume within the active set, in original degrees.
+    the min-side volume within the active set, in original degrees.  Every
+    sum runs in the order of a vertex-by-vertex sweep, so the cut weights
+    are those of the scalar sweep bit for bit.
     """
-    active_mask = np.zeros(view.n, dtype=bool)
-    active_mask[order] = True
     pos = -np.ones(view.n, dtype=np.int64)
     pos[order] = np.arange(order.size)
+    rows, cols, vals = view.inside(order)
+    at, back = pos[rows], pos[cols] < pos[rows]
+    w_inside = np.bincount(at, vals, minlength=order.size)
+    w_to_prefix = np.bincount(at[back], vals[back], minlength=order.size)
+    # the prefix of length k + 1 ends at order[k]; the full set is no cut
+    cut_w = np.cumsum(w_inside - 2.0 * w_to_prefix)[:-1]
+    vol_pref = np.cumsum(deg_g[order[:-1]])
     vol_total = float(deg_g[order].sum())
-    cut_w = 0.0
-    vol_pref = 0.0
-    best = None
-    best_side = -1.0
-    for idx, v in enumerate(order[:-1].tolist()):
-        w_to_prefix = 0.0
-        w_inside = 0.0
-        for nbr, w in view.adj[v]:
-            if active_mask[nbr]:
-                if pos[nbr] < idx:
-                    w_to_prefix += w
-                w_inside += w
-        cut_w += w_inside - 2.0 * w_to_prefix
-        vol_pref += float(deg_g[v])
-        side = min(vol_pref, vol_total - vol_pref)
-        if side <= 0:
-            continue
-        phi_est = cut_w / side
-        if phi_est <= phi_limit and side > best_side:
-            best_side = side
-            best = (idx + 1, phi_est)
-    return best
+    side = np.minimum(vol_pref, vol_total - vol_pref)
+    phi_est = cut_w / np.where(side > 0, side, 1.0)
+    good = (side > 0) & (phi_est <= phi_limit)
+    if not good.any():
+        return None
+    k = int(np.argmax(np.where(good, side, -1.0)))  # first of the largest sides
+    return k + 1, float(phi_est[k])
 
 
 def sweep_balanced_cut(
@@ -309,7 +299,7 @@ def sweep_balanced_cut(
         elif len(pieces) == 1 and pieces[0].size > 1:
             comp = pieces[0]
             try:
-                vec = _second_vector(view, comp, phi, max_iter, tol)
+                vec = _second_vector(view, comp, max_iter, tol)
             except SweepNumericFailure:
                 if taken:
                     break

@@ -92,13 +92,7 @@ def sample(G: Graph, params: SparsifierParams) -> Graph:
     p = edge_probabilities(G, ups)
     rng = np.random.default_rng(params.seed & ((1 << 64) - 1))
     keep = rng.random(G.num_edges) < p
-    edges = [
-        (int(u), int(v), float(w / pe))
-        for u, v, w, pe in zip(
-            G.edge_u[keep], G.edge_v[keep], G.edge_w[keep], p[keep]
-        )
-    ]
-    return Graph(G.n, edges)
+    return Graph.from_arrays(G.n, G.edge_u[keep], G.edge_v[keep], G.edge_w[keep] / p[keep])
 
 
 @dataclass

@@ -241,16 +241,15 @@ class StreamState:
 
     def recover_sparsifier(self) -> Graph | None:
         """Recover the weighted sampled graph, or None on any sketch FAIL."""
-        j = vertex_levels(self.deg, self.upsilon, self.levels).tolist()
-        edges = {}
+        j = vertex_levels(self.deg, self.upsilon, self.levels)
+        keys = set()
         for v in range(self.n):
-            neigh = self.sketch_at(j[v], v).recover()
+            neigh = self.sketch_at(int(j[v]), v).recover()
             if neigh is None:
                 return None
-            for u in neigh:
-                key = (u, v) if u < v else (v, u)
-                edges[key] = 2.0 ** min(j[u], j[v])
-        return Graph(self.n, [(u, v, w) for (u, v), w in sorted(edges.items())])
+            keys.update((u, v) if u < v else (v, u) for u in neigh)
+        u, v = np.array(sorted(keys), dtype=np.int64).reshape(-1, 2).T
+        return Graph.from_arrays(self.n, u, v, 2.0 ** np.minimum(j[u], j[v]))
 
     def serialize(self) -> bytes:
         parts = [self.deg.tobytes()]
@@ -292,9 +291,9 @@ def sample_offline(G: Graph, params: SparsifierParams, seed: int | None = None) 
     j = vertex_levels(G.deg, ups, max_level)
     j_min = np.minimum(j[G.edge_u], j[G.edge_v])
     keep = pair_levels(prf(use_seed, _LEVEL_TAG), G.edge_u, G.edge_v) >= j_min
-    weights = 2.0 ** j_min[keep]
-    edges = sorted(zip(G.edge_u[keep].tolist(), G.edge_v[keep].tolist(), weights.tolist()))
-    return Graph(G.n, edges)
+    u, v, w = G.edge_u[keep], G.edge_v[keep], 2.0 ** j_min[keep]
+    by_edge = np.lexsort((w, v, u))
+    return Graph.from_arrays(G.n, u[by_edge], v[by_edge], w[by_edge])
 
 
 # -- stream files --------------------------------------------------------------

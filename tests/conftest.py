@@ -32,6 +32,14 @@ def c8():
     return cycle_graph(8)
 
 
+def assert_same_graph(got, want):
+    """Equal vertex counts, edge arrays and degrees, dtypes included."""
+    assert got.n == want.n
+    for name in ("edge_u", "edge_v", "edge_w", "deg"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 # -- independent oracles -------------------------------------------------------
 
 

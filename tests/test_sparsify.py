@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from powercut import (
     Graph,
@@ -15,6 +17,8 @@ from powercut import (
     upsilon,
 )
 from powercut.sparsify import edge_probabilities
+
+from conftest import assert_same_graph
 
 
 def test_upsilon_value_frozen():
@@ -51,6 +55,32 @@ def test_sample_identity_when_all_probabilities_clamp(k4):
 def test_sample_empty_graph():
     H = sample(Graph(5), SparsifierParams(delta=0.5, eps=0.5, seed=1))
     assert H.n == 5 and H.num_edges == 0
+
+
+@st.composite
+def weighted_multigraphs(draw, max_n=12):
+    """Loops, parallel edges and isolated vertices included."""
+    n = draw(st.integers(1, max_n))
+    ends = st.integers(0, n - 1)
+    weights = st.floats(0.25, 4.0)
+    return Graph(n, draw(st.lists(st.tuples(ends, ends, weights), max_size=3 * n)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(G=weighted_multigraphs(), seed=st.integers(0, 10**6),
+       ups=st.sampled_from([0.3, 1.0, 4.0]))
+def test_sample_equals_tuple_built_graph(G, seed, ups):
+    params = SparsifierParams(delta=0.5, eps=0.5, upsilon_override=ups, seed=seed)
+    want = Graph(G.n)
+    if G.num_edges:
+        p = edge_probabilities(G, ups)
+        keep = np.random.default_rng(seed).random(G.num_edges) < p
+        want = Graph(G.n, [
+            (int(u), int(v), float(w / pe))
+            for u, v, w, pe in zip(G.edge_u[keep], G.edge_v[keep], G.edge_w[keep], p[keep])
+        ])
+    assert_same_graph(sample(G, params), want)
 
 
 def test_sample_self_loops_participate():

@@ -35,7 +35,10 @@ from powercut.stream import (
     pair_level,
     pair_levels,
     pick_level,
+    vertex_levels,
 )
+
+from conftest import assert_same_graph
 
 FAST = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -161,7 +164,34 @@ def _sample_offline_loop(G, sp):
 @given(G=graphs(max_n=24), seed=st.integers(0, 10**6), ups=st.sampled_from([0.5, 1.0, 3.0]))
 def test_sample_offline_equals_per_edge_loop(G, seed, ups):
     sp = params(upsilon_override=ups, seed=seed)
-    assert sample_offline(G, sp).edge_list() == _sample_offline_loop(G, sp)
+    assert_same_graph(sample_offline(G, sp), Graph(G.n, _sample_offline_loop(G, sp)))
+
+
+def _recover_sparsifier_tuples(state):
+    """The dict-and-tuples reference for `recover_sparsifier`."""
+    j = vertex_levels(state.deg, state.upsilon, state.levels).tolist()
+    edges = {}
+    for v in range(state.n):
+        neigh = state.sketch_at(j[v], v).recover()
+        if neigh is None:
+            return None
+        for u in neigh:
+            key = (u, v) if u < v else (v, u)
+            edges[key] = 2.0 ** min(j[u], j[v])
+    return Graph(state.n, [(u, v, w) for (u, v), w in sorted(edges.items())])
+
+
+@FAST
+@given(stream=churned_streams(max_n=12), seed=st.integers(0, 10**6),
+       ups=st.sampled_from([0.5, 2.0]))
+def test_recover_sparsifier_equals_tuple_built_graph(stream, seed, ups):
+    G, updates = stream
+    state = StreamState(G.n, params(upsilon_override=ups, seed=seed))
+    state.process_many(updates)
+    got, want = state.recover_sparsifier(), _recover_sparsifier_tuples(state)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert_same_graph(got, want)
 
 
 # -- the stream state --------------------------------------------------------------
