@@ -28,6 +28,7 @@ from .decompose import (
     DecompositionInvariantError,
     OfflineSparsifierPool,
     PoolExhausted,
+    PoolTooLarge,
     RunReport,
     Schedule,
     SketchFailExhausted,

@@ -259,8 +259,12 @@ def sweep_balanced_cut(
     cuts of the approximate Fiedler order with Phi' <= phi are peeled off one
     after another (each measured within the remaining subgraph, volumes in
     original degrees) until the union reaches half the cluster volume or no
-    qualifying sweep cut remains.  Expander is declared only when the very
-    first sweep finds no cut with Phi' <= phi.
+    qualifying sweep cut remains.  When the next cut would push the union
+    past half, the rest of the cluster (the union's complement, with the
+    same cut edges) is returned instead if its Phi' <= phi and it is more
+    balanced than the union so far; an unbalanced answer thus still means
+    that the sweep found no balanced sparse cut.  Expander is declared only
+    when the very first sweep finds no cut with Phi' <= phi.
     """
     deg_g = np.asarray(deg_g, dtype=np.float64)
     if deg_g.shape != (H.n,):
@@ -315,6 +319,19 @@ def sweep_balanced_cut(
             break
         vol_round = float(deg_g[round_cut].sum())
         if vol_taken + vol_round > half * (1.0 + REL_SLACK):
+            # the rest of the cluster has the union's cut edges: return it
+            # when it is sparse and more balanced than what was taken
+            rest_mask = active.copy()
+            rest_mask[round_cut] = False
+            rest = np.flatnonzero(rest_mask)
+            vol_rest = float(deg_g[rest].sum())
+            if vol_rest > vol_taken:
+                cut_w = H.cut_weight(rest)
+                if cut_w <= phi_limit * vol_rest:
+                    return BalancedCutOutcome(
+                        False, cut=rest, sparsity_estimate=cut_w / vol_rest,
+                        balance=vol_rest / vol_c,
+                    )
             break
         taken.append(round_cut)
         vol_taken += vol_round

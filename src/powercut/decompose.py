@@ -45,7 +45,7 @@ from .graph import (
 )
 from .prf import prf
 from .sparsify import SparsifierParams, sample
-from .stream import StreamState, update_arrays
+from .stream import StreamState, update_arrays, worst_case_bytes
 
 _PHASE1_TAG = 0xA1
 _PHASE2_TAG = 0xA2
@@ -54,9 +54,17 @@ _SPARE_TAG = 0x5A
 EXACT_MODE = "exact"
 FAST_MODE = "fast"
 
+# most bytes the states of one `StreamSparsifierPools` may need once every
+# slot is touched; planted 4x50 (n = 200, 478 dense states) needs 1.38 GB
+POOL_BYTE_CAP = 2 << 30
+
 
 class PoolExhausted(RuntimeError):
     """A phase asked for more sparsifiers than its sized pool; configuration bug."""
+
+
+class PoolTooLarge(ValueError):
+    """Stream pools whose states could need more than `POOL_BYTE_CAP` bytes."""
 
 
 class SketchFailExhausted(RuntimeError):
@@ -176,6 +184,18 @@ def make_schedule(params: DecompParams, n: int) -> Schedule:
 # -- sparsifier pools ----------------------------------------------------------
 
 
+def _slot_params(params: DecompParams, psi: float, seed: int) -> SparsifierParams:
+    """Sparsifier parameters of one pool slot at accuracy psi."""
+    return SparsifierParams(
+        delta=params.delta,
+        eps=psi,
+        fail_exponent=params.fail_exponent,
+        upsilon_scale=params.upsilon_scale,
+        upsilon_override=params.upsilon_override,
+        seed=seed,
+    )
+
+
 class OfflineSparsifierPool:
     """Lazy pool of independent offline samples, keyed by consumption slot."""
 
@@ -186,23 +206,13 @@ class OfflineSparsifierPool:
         self._cache: dict[tuple, Graph] = {}
         self.fail_retries = 0
 
-    def _slot_params(self, psi: float, seed: int) -> SparsifierParams:
-        p = self._params
-        return SparsifierParams(
-            delta=p.delta,
-            eps=psi,
-            fail_exponent=p.fail_exponent,
-            upsilon_scale=p.upsilon_scale,
-            upsilon_override=p.upsilon_override,
-            seed=seed,
-        )
-
     def phase1(self, depth: int) -> Graph:
         if not (1 <= depth <= self._sched.depth_bound):
             raise PoolExhausted(f"phase-one pool has no slot for depth {depth}")
         key = ("phase1", depth)
         if key not in self._cache:
-            sp = self._slot_params(self._sched.psi(0), prf(self._params.seed, _PHASE1_TAG, depth))
+            sp = _slot_params(self._params, self._sched.psi(0),
+                              prf(self._params.seed, _PHASE1_TAG, depth))
             self._cache[key] = sample(self._G, sp)
         return self._cache[key]
 
@@ -213,7 +223,8 @@ class OfflineSparsifierPool:
             raise PoolExhausted(f"phase-two pool level {j} exhausted at slot {h}")
         key = ("phase2", j, h)
         if key not in self._cache:
-            sp = self._slot_params(self._sched.psi(j), prf(self._params.seed, _PHASE2_TAG, j, h))
+            sp = _slot_params(self._params, self._sched.psi(j),
+                              prf(self._params.seed, _PHASE2_TAG, j, h))
             self._cache[key] = sample(self._G, sp)
         return self._cache[key]
 
@@ -228,6 +239,11 @@ class StreamSparsifierPools:
     bound), fed every update, and handed to `decompose` afterwards.  A FAIL
     during recovery consumes one spare state of the same slot kind; running
     out raises `SketchFailExhausted`.
+
+    Before any state exists, the pools add up what every state would hold
+    once all its slots are touched (`stream.worst_case_bytes`) and raise
+    `PoolTooLarge` above `POOL_BYTE_CAP`, so a configuration that needs
+    gigabytes fails at once instead of exhausting memory during the feed.
     """
 
     def __init__(self, n: int, params: DecompParams, spares: int = 1):
@@ -237,36 +253,33 @@ class StreamSparsifierPools:
         self.fail_retries = 0
         self._cache: dict[tuple, Graph] = {}
 
-        def state(psi: float, seed: int) -> StreamState:
-            sp = SparsifierParams(
-                delta=params.delta,
-                eps=psi,
-                fail_exponent=params.fail_exponent,
-                upsilon_scale=params.upsilon_scale,
-                upsilon_override=params.upsilon_override,
-                seed=seed,
-            )
-            return StreamState(n, sp)
-
-        seed = params.seed
-        self._alg1 = [
-            state(self.sched.psi(0), prf(seed, _PHASE1_TAG, d))
-            for d in range(1, self.sched.depth_bound + 1)
+        seed, sched = params.seed, self.sched
+        alg1 = [
+            _slot_params(params, sched.psi(0), prf(seed, _PHASE1_TAG, d))
+            for d in range(1, sched.depth_bound + 1)
         ]
-        self._alg2 = {
+        alg2 = {
             j: [
-                state(self.sched.psi(j), prf(seed, _PHASE2_TAG, j, h))
-                for h in range(1, self.sched.alg2_pool_size + 1)
+                _slot_params(params, sched.psi(j), prf(seed, _PHASE2_TAG, j, h))
+                for h in range(1, sched.alg2_pool_size + 1)
             ]
             for j in range(1, params.quality_k + 2)
         }
-        self._spares = {
-            0: [state(self.sched.psi(0), prf(seed, _SPARE_TAG, 0, s)) for s in range(spares)]
+        spare = {
+            j: [_slot_params(params, sched.psi(j), prf(seed, _SPARE_TAG, j, s))
+                for s in range(spares)]
+            for j in range(params.quality_k + 2)
         }
-        for j in range(1, params.quality_k + 2):
-            self._spares[j] = [
-                state(self.sched.psi(j), prf(seed, _SPARE_TAG, j, s)) for s in range(spares)
-            ]
+        every = alg1 + [sp for group in (*alg2.values(), *spare.values()) for sp in group]
+        need = sum(worst_case_bytes(n, sp) for sp in every)
+        if need > POOL_BYTE_CAP:
+            raise PoolTooLarge(
+                f"stream pools of {len(every)} states over {n} vertices could need "
+                f"{need / 2**30:.3g} GiB, above the cap of {POOL_BYTE_CAP / 2**30:.3g} GiB"
+            )
+        self._alg1 = [StreamState(n, sp) for sp in alg1]
+        self._alg2 = {j: [StreamState(n, sp) for sp in group] for j, group in alg2.items()}
+        self._spares = {j: [StreamState(n, sp) for sp in group] for j, group in spare.items()}
 
     def all_states(self):
         yield from self._alg1

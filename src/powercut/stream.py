@@ -12,21 +12,31 @@ there; the union of recovered stars, with edge {u, v} weighted
 ``2^min(j_u, j_v)``, is exactly the subsampled graph that `sample_offline`
 computes directly from the final edge set under the same seed.
 
-Layout.  A `StreamState` stores its (level, vertex) sketches as the rows of
-one block per array: `counts`, `id_sums` and `fps`, each of shape (S, R, B)
-for S slots, R hash rows and B = 2k buckets per row.  Slots are lazy: a slot
-gets a row the first time an update or `sketch_at` touches it, and an
-untouched slot is the zero sketch, so laziness never changes observable
-state and `total_buckets` counts only rows handed out.  A batch of updates
-is applied in a few vectorized passes: pair levels for every update, their
-expansion into (slot, index, delta) items, then `sketch.accumulate`, which
-nets, hashes and sums the items into the block.  Updates are expanded
+Layout.  A `StreamState` keeps its (level, vertex) slots as the rows of
+blocks, one row per slot.  Slots are lazy: a slot gets a row the first time
+an update, a recovery or `sketch_at` touches it, and an untouched slot is
+zero, so laziness never changes observable state and `total_buckets` counts
+only the slots touched.  What a row holds depends on the sparsity budget k:
+
+* k == n (`dense_slots`): the slot's net vector itself, one row of an
+  (S, n) int64 block.  Every desk-scale pool is here, since k = min(n,
+  ceil(8Y)) = n, and a vector of n entries is smaller than any sketch of it
+  (R * 2k buckets of three words).  A dense vector is linear and recovers
+  exactly, so the sketch's random FAILs are the only thing that goes away.
+* k < n: a sparse-recovery sketch, one row of each of three (S, R, B)
+  blocks `counts`, `id_sums` and `fps`, for R hash rows and B = 2k buckets.
+
+A batch of updates is applied in a few vectorized passes: pair levels for
+every update, their expansion into (slot, index, delta) items, then one
+`np.add.at` into the dense block, or `sketch.accumulate`, which nets,
+hashes and sums the items into the sketch blocks.  Updates are expanded
 `UPDATE_CHUNK` at a time and `accumulate` hashes at most
 `sketch.WINDOW_CELLS` (item, row) pairs at a time, so a batch needs a few
-MB beyond the block whatever its length.  The sums are exact: counts and
+MB beyond the blocks whatever its length.  The sums are exact: counts and
 id sums are added as int64, as `SparseRecoverySketch.update` adds them, and
-fingerprints stay reduced mod 2^61 - 1, so the block matches a loop of
-scalar updates bit for bit.
+fingerprints stay reduced mod 2^61 - 1, so a sketch block matches a loop of
+scalar updates bit for bit, and the sketch of a dense row (`sketch_at`)
+equals the sketch the same updates would have built.
 """
 
 from __future__ import annotations
@@ -89,6 +99,36 @@ def pair_levels(level_seed: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return leading_ones_array(prf_array(start, np.minimum(u, v), np.maximum(u, v)))
 
 
+def top_level(n: int) -> int:
+    """Highest stored sampling level, ceil(log2 n) and at least 1."""
+    return max(1, math.ceil(math.log2(n))) if n > 1 else 1
+
+
+def state_shape(n: int, params: SparsifierParams) -> tuple[int, int, float]:
+    """(top level, sparsity budget k, per-sketch failure probability) of a
+    `StreamState` over n vertices."""
+    k = min(n, max(1, math.ceil(8.0 * params.upsilon_for(n))))
+    return top_level(n), k, float(max(n, 2)) ** (-(params.fail_exponent + 3.0))
+
+
+def dense_slots(n: int, k: int) -> bool:
+    """Whether a state keeps its slots as dense vectors over [0, n): exactly
+    when the sparsity budget k covers the whole universe, where a sketch
+    would summarize a vector smaller than itself."""
+    return k == n
+
+
+def worst_case_bytes(n: int, params: SparsifierParams) -> int:
+    """Bytes a `StreamState` holds once every slot is touched, degrees
+    included: n int64 per dense slot, or 3 int64 per sketch bucket."""
+    levels, k, sketch_p = state_shape(n, params)
+    if dense_slots(n, k):
+        slot = 8 * n
+    else:
+        slot = 24 * 2 * k * SketchParams(n, k, sketch_p, 0).rows
+    return (levels + 1) * n * slot + 8 * n
+
+
 def pick_level(deg: float, ups: float, max_level: int) -> int:
     """j_v = max(0, floor(log2(deg / (2Y)))), capped at the top stored level."""
     if deg <= 0:
@@ -109,8 +149,13 @@ class StreamState:
     sparsity budget k = min(n, ceil(8Y)) and per-sketch failure probability
     n^-(C+3).  State is linear: it depends only on the net edge multiset.
 
-    The sketches live as rows of (S, R, B) blocks, one row per slot touched
-    so far (see the module docstring); construction allocates no rows.
+    The slots live as rows of blocks, one row per slot touched so far (see
+    the module docstring); construction allocates no rows.  When k == n
+    (`dense_slots`, decided once here and kept in `dense`), a row is the
+    slot's net vector itself, one (S, n) int64 block; otherwise it is a
+    sketch, three (S, R, B) blocks.  Both give the same `serialize`,
+    `total_buckets` and, barring the sketch's random FAILs, the same
+    `recover_sparsifier`; `memory_bytes` is what the rows really hold.
     """
 
     def __init__(self, n: int, params: SparsifierParams, seed: int | None = None):
@@ -120,9 +165,8 @@ class StreamState:
         self.params = params
         self.seed = params.seed if seed is None else seed
         self.upsilon = params.upsilon_for(n)
-        self.levels = max(1, math.ceil(math.log2(n))) if n > 1 else 1
-        self.k = min(n, max(1, math.ceil(8.0 * self.upsilon)))
-        self.sketch_p = float(max(n, 2)) ** (-(params.fail_exponent + 3.0))
+        self.levels, self.k, self.sketch_p = state_shape(n, params)
+        self.dense = dense_slots(n, self.k)
         self.deg = np.zeros(n, dtype=np.int64)
         self._level_seed = prf(self.seed, _LEVEL_TAG)
         # slot (level, v) has key level * n + v and sketch seed
@@ -130,10 +174,17 @@ class StreamState:
         self._row = np.full((self.levels + 1) * n, -1, dtype=np.int64)
         self._used = 0
         R, B = self._sketch_params(0).rows, 2 * self.k
+        self._cells = R * B
         self._seeds = np.zeros(0, dtype=np.uint64)
-        self._counts = np.zeros((0, R, B), dtype=np.int64)
-        self._id_sums = np.zeros((0, R, B), dtype=np.int64)
-        self._fps = np.zeros((0, R, B), dtype=np.uint64)
+        # the row payload: a dense vector, or (counts, id_sums, fps) buckets
+        if self.dense:
+            self._payload = (np.zeros((0, n), dtype=np.int64),)
+        else:
+            self._payload = (
+                np.zeros((0, R, B), dtype=np.int64),
+                np.zeros((0, R, B), dtype=np.int64),
+                np.zeros((0, R, B), dtype=np.uint64),
+            )
 
     def _sketch_params(self, seed: int) -> SketchParams:
         return SketchParams(self.n, self.k, self.sketch_p, seed)
@@ -166,23 +217,29 @@ class StreamState:
             out[: self._used] = a[: self._used]
             return out
 
-        self._seeds, self._counts, self._id_sums, self._fps = map(
-            grown, (self._seeds, self._counts, self._id_sums, self._fps)
-        )
+        self._seeds = grown(self._seeds)
+        self._payload = tuple(map(grown, self._payload))
 
     def sketch_at(self, level: int, v: int) -> SparseRecoverySketch:
-        """The sketch of slot (level, v), over its block rows.
+        """The sketch of slot (level, v); touches the slot.
 
-        It shares memory with the block until the block next grows, which
-        only a newly touched slot can cause.
+        On a sketch state it works on the slot's block rows, sharing memory
+        with the block until the block next grows, which only a newly
+        touched slot can cause.  On a dense state it is a fresh sketch built
+        by `update_many` from the slot's nonzeros: by linearity the same
+        sketch, but writes to it do not reach the state.
         """
         if not (0 <= level <= self.levels and 0 <= v < self.n):
             raise StreamError(f"no sketch slot ({level}, {v})")
         row = int(self._rows(np.array([level * self.n + v]))[0])
-        return SparseRecoverySketch(
-            self._sketch_params(int(self._seeds[row])),
-            (self._counts[row], self._id_sums[row], self._fps[row]),
-        )
+        sp = self._sketch_params(int(self._seeds[row]))
+        if not self.dense:
+            return SparseRecoverySketch(sp, tuple(a[row] for a in self._payload))
+        vec = self._payload[0][row]
+        sk = SparseRecoverySketch(sp)
+        idx = np.flatnonzero(vec)
+        sk.update_many(idx, vec[idx])
+        return sk
 
     def edge_level(self, u: int, v: int) -> int:
         """Deterministic level of {u, v}; symmetric in its endpoints."""
@@ -231,24 +288,44 @@ class StreamState:
             np.concatenate([level * self.n + a, level * self.n + b]), return_inverse=True
         )
         rows = self._rows(slots)[inverse]  # may grow the block: before reading it
-        accumulate(
-            self._counts, self._id_sums, self._fps, self._seeds,
-            rows, np.concatenate([b, a]), np.concatenate([d, d]), self.n,
-        )
+        index, d = np.concatenate([b, a]), np.concatenate([d, d])
+        if self.dense:
+            # a flat view of the contiguous block: writes land in the block
+            np.add.at(self._payload[0].reshape(-1), rows * self.n + index, d)
+        else:
+            accumulate(*self._payload, self._seeds, rows, index, d, self.n)
 
     def vertex_level(self, v: int) -> int:
         return pick_level(float(self.deg[v]), self.upsilon, self.levels)
 
     def recover_sparsifier(self) -> Graph | None:
-        """Recover the weighted sampled graph, or None on any sketch FAIL."""
+        """Recover the weighted sampled graph, or None on any sketch FAIL.
+
+        A dense state reads the rows at levels j_v and returns None exactly
+        where the sketch's deterministic rules would: an entry outside
+        [-1, n], or more than k nonzeros in a row.
+        """
         j = vertex_levels(self.deg, self.upsilon, self.levels)
-        keys = set()
-        for v in range(self.n):
-            neigh = self.sketch_at(int(j[v]), v).recover()
-            if neigh is None:
+        if self.dense:
+            # touches the slots, as the sketch path's `sketch_at` does, and
+            # may grow the block: before reading it
+            rows = self._rows(j * self.n + np.arange(self.n))
+            vecs = self._payload[0][rows]
+            if ((vecs < -1) | (vecs > self.n)).any() or (
+                np.count_nonzero(vecs, axis=1) > self.k
+            ).any():
                 return None
-            keys.update((u, v) if u < v else (v, u) for u in neigh)
-        u, v = np.array(sorted(keys), dtype=np.int64).reshape(-1, 2).T
+            v, u = np.nonzero(vecs)
+            keys = np.unique(np.minimum(u, v) * self.n + np.maximum(u, v))
+        else:
+            keys = set()
+            for v in range(self.n):
+                neigh = self.sketch_at(int(j[v]), v).recover()
+                if neigh is None:
+                    return None
+                keys.update(min(u, v) * self.n + max(u, v) for u in neigh)
+            keys = np.array(sorted(keys), dtype=np.int64)
+        u, v = np.divmod(keys, self.n)
         return Graph.from_arrays(self.n, u, v, 2.0 ** np.minimum(j[u], j[v]))
 
     def serialize(self) -> bytes:
@@ -261,18 +338,18 @@ class StreamState:
     # -- space accounting -----------------------------------------------------
 
     def total_buckets(self) -> int:
-        """Buckets actually materialized; at most `bucket_budget`."""
-        R, B = self._counts.shape[1:]
-        return self._used * R * B
+        """Buckets of the sketches of the touched slots, dense or not; at
+        most `bucket_budget`."""
+        return self._used * self._cells
 
     def memory_bytes(self) -> int:
-        # 3 arrays of 8 bytes per bucket + the degree counters
-        return self.total_buckets() * 24 + self.deg.nbytes
+        """Bytes held by the touched slots' rows and the degree counters."""
+        row = sum(a.itemsize * math.prod(a.shape[1:]) for a in self._payload)
+        return self._used * row + self.deg.nbytes
 
     def bucket_budget(self) -> int:
         """Bucket count of the full sketch family: n*(L+1)*2k*R."""
-        rows = SketchParams(self.n, self.k, self.sketch_p, 0).rows
-        return self.n * (self.levels + 1) * 2 * self.k * rows
+        return self.n * (self.levels + 1) * self._cells
 
 
 def sample_offline(G: Graph, params: SparsifierParams, seed: int | None = None) -> Graph:
@@ -287,8 +364,7 @@ def sample_offline(G: Graph, params: SparsifierParams, seed: int | None = None) 
         raise StreamError("sample_offline expects an unweighted graph")
     use_seed = params.seed if seed is None else seed
     ups = params.upsilon_for(max(G.n, 1))
-    max_level = max(1, math.ceil(math.log2(G.n))) if G.n > 1 else 1
-    j = vertex_levels(G.deg, ups, max_level)
+    j = vertex_levels(G.deg, ups, top_level(G.n))
     j_min = np.minimum(j[G.edge_u], j[G.edge_v])
     keep = pair_levels(prf(use_seed, _LEVEL_TAG), G.edge_u, G.edge_v) >= j_min
     u, v, w = G.edge_u[keep], G.edge_v[keep], 2.0 ** j_min[keep]

@@ -195,3 +195,54 @@ def test_sweep_numeric_failure_with_tiny_budget():
 def test_sweep_on_singleton_and_zero_volume():
     assert sweep_balanced_cut(Graph(1), np.zeros(1), 0.3, 0.0).expander
     assert sweep_balanced_cut(Graph(3), np.zeros(3), 0.3, 0.0).expander
+
+
+def _triangle_and_two_k6():
+    """A triangle {0, 1, 2} apart from two K6 blocks joined by one bridge."""
+    blocks = [list(range(3, 9)), list(range(9, 15))]
+    edges = [(0, 1), (1, 2), (0, 2), (3, 9)]
+    edges += [(u, v) for b in blocks for i, u in enumerate(b) for v in b[i + 1:]]
+    return Graph(15, edges), blocks
+
+
+def test_sweep_returns_the_balanced_complement_on_overshoot():
+    # the sweep first takes the triangle (volume 6) as a free cut, then
+    # finds a block (volume 31); 6 + 31 overshoots half of 68, so it returns
+    # the other block, whose cut edges are those of triangle + block
+    G, blocks = _triangle_and_two_k6()
+    out = sweep_balanced_cut(G, G.deg, 0.2, 0.0)
+    assert not out.expander
+    assert out.cut.tolist() in blocks
+    assert out.sparsity_estimate == pytest.approx(1.0 / 31.0)
+    assert out.balance == pytest.approx(31.0 / 68.0)
+
+
+def test_sweep_estimate_and_balance_describe_the_returned_cut():
+    rng = np.random.default_rng(17)
+    checked = 0
+    for _ in range(40):
+        # disjoint pieces make free cuts, so the union often overshoots half
+        sizes = rng.integers(1, 9, size=int(rng.integers(1, 4)))
+        edges, start = [], 0
+        for s in sizes.tolist():
+            piece = gnp_graph(s, float(rng.uniform(0.3, 0.9)), seed=int(rng.integers(2**31)))
+            edges += [(u + start, v + start) for u, v in zip(piece.edge_u.tolist(),
+                                                            piece.edge_v.tolist())]
+            start += s
+        H = Graph(start, edges)
+        if H.total_volume == 0:
+            continue
+        phi = float(rng.uniform(0.05, 0.5))
+        try:
+            out = sweep_balanced_cut(H, H.deg, phi, 0.0)
+        except SweepNumericFailure:
+            continue
+        if out.expander:
+            continue
+        vol_s, vol_c = H.volume(out.cut), H.total_volume
+        assert 0 < vol_s <= vol_c / 2 * (1 + 1e-9)
+        assert out.sparsity_estimate == pytest.approx(H.cut_weight(out.cut) / vol_s)
+        assert out.sparsity_estimate <= phi * (1 + 1e-6)
+        assert out.balance == pytest.approx(vol_s / vol_c)
+        checked += 1
+    assert checked >= 10

@@ -301,3 +301,14 @@ def test_stream_pool_spare_retry_and_exhaustion():
         if retried and exhausted:
             break
     assert retried and exhausted
+
+
+@pytest.mark.parametrize("seed", [6, 8, 13])
+def test_fast_mode_phase_two_keeps_planted_blocks(seed):
+    # the sweep once took a 2-vertex free cut, then overshot half with a
+    # 60|60 block cut and returned only the 2 vertices; phase two then shaved
+    # a whole block into singletons past their volume budget
+    G = planted_partition_graph(10, 60, 0.3, 1e-4, seed=seed)
+    params = DecompParams(eps=0.3, quality_k=2, mode="fast", seed=seed)
+    clusters, rep = decompose(G, params)
+    assert verify_decomposition(G, clusters, params.eps, rep.phi_final).ok

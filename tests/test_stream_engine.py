@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 
 from powercut import (
     DecompParams,
+    DecompositionInvariantError,
     Graph,
+    SketchFailExhausted,
     SketchParams,
     SparseRecoverySketch,
     SparsifierParams,
@@ -316,3 +318,97 @@ def test_pools_reject_bad_batch_before_any_state_changes():
         pools.feed_many(updates + [StreamUpdate(True, 0, B.n)])
     assert pools.memory_bytes() == sum(st.deg.nbytes for st in pools.all_states())
     assert all(not st.deg.any() for st in pools.all_states())
+
+
+# -- the same engine checks on the sketch path ---------------------------------------
+#
+# The checks above use k = min(n, 16) = n, where states keep dense slots.
+# Their twins below take Y = 0.12, so k = 1 < n: the state is on the sketch
+# path, and `accumulate`'s multi-slot windows and chunks stay exercised.
+
+SKETCH_UPS = 0.12
+
+
+@FAST
+@given(stream=churned_streams(), seed=st.integers(0, 10**6), data=st.data())
+def test_process_batching_gives_identical_state_on_sketch_path(stream, seed, data):
+    G, updates = stream
+    sp = params(upsilon_override=SKETCH_UPS, seed=seed)
+    one = StreamState(G.n, sp)
+    assert not one.dense
+    for upd in updates:
+        one.process(upd)
+    whole = StreamState(G.n, sp)
+    whole.process_many(updates)
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(updates)), max_size=4)))
+    split = StreamState(G.n, sp)
+    for lo, hi in zip([0] + cuts, cuts + [len(updates)]):
+        split.process_many(updates[lo:hi])
+    assert one.total_buckets() == whole.total_buckets() == split.total_buckets()
+    assert one.serialize() == whole.serialize() == split.serialize()
+
+
+@FAST
+@given(stream=churned_streams(max_n=10), seed=st.integers(0, 10**6))
+def test_each_slot_matches_scalar_reference_on_sketch_path(stream, seed):
+    G, updates = stream
+    sp = params(upsilon_override=SKETCH_UPS, seed=seed)
+    state = StreamState(G.n, sp)
+    assert not state.dense
+    state.process_many(updates)
+    refs = {}
+    for upd in updates:
+        for i in range(min(state.edge_level(upd.u, upd.v), state.levels) + 1):
+            for vtx, idx in ((upd.u, upd.v), (upd.v, upd.u)):
+                if (i, vtx) not in refs:
+                    seed_iv = prf(sp.seed, _SKETCH_TAG, i, vtx)
+                    refs[(i, vtx)] = SparseRecoverySketch(
+                        SketchParams(G.n, state.k, state.sketch_p, seed_iv))
+                refs[(i, vtx)].update(idx, upd.delta)
+    shape = SketchParams(G.n, state.k, state.sketch_p, 0)
+    assert state.total_buckets() == len(refs) * shape.rows * shape.buckets_per_row
+    for (i, vtx), ref in refs.items():
+        assert state.sketch_at(i, vtx).serialize() == ref.serialize()
+    assert np.array_equal(state.deg, G.deg.astype(np.int64))
+
+
+def test_engine_chunks_and_windows_match_one_pass_on_sketch_path(monkeypatch):
+    G = barbell_graph(2, 6, 1)
+    updates = gen_stream(G, churn=1.0, seed=3)
+    sp = params(upsilon_override=SKETCH_UPS, seed=5)
+    whole = StreamState(G.n, sp)
+    assert not whole.dense
+    whole.process_many(updates)
+    monkeypatch.setattr(stream_mod, "UPDATE_CHUNK", 7)
+    monkeypatch.setattr(sketch_mod, "WINDOW_CELLS", 64)
+    chunked = StreamState(G.n, sp)
+    chunked.process_many(updates)
+    assert chunked.total_buckets() == whole.total_buckets()
+    assert chunked.serialize() == whole.serialize()
+
+
+def _decompose_outcome(pools, params_d, G):
+    """The report JSON, or the failure's type and message: at Y = 0.12 the
+    recovered sparsifiers are too thin for some decompositions to pass."""
+    try:
+        return decompose(pools, params_d, reference_graph=G)[1].to_json()
+    except (DecompositionInvariantError, SketchFailExhausted) as err:
+        return type(err).__name__, str(err)
+
+
+def test_pools_feed_many_equals_per_update_feed_on_sketch_path():
+    B = barbell_graph(2, 4, 1)
+    params_d = DecompParams(eps=0.3, quality_k=2, seed=42, upsilon_override=SKETCH_UPS)
+    updates = gen_stream(B, churn=0.5, seed=42)
+    batch = StreamSparsifierPools(B.n, params_d, spares=1)
+    batch.feed_many(updates)
+    single = StreamSparsifierPools(B.n, params_d, spares=1)
+    for upd in updates:
+        single.feed(upd)
+    for a, b in zip(batch.all_states(), single.all_states()):
+        assert not a.dense
+        assert a.total_buckets() == b.total_buckets()
+        assert np.array_equal(a.deg, b.deg)
+    assert _decompose_outcome(batch, params_d, B) == _decompose_outcome(single, params_d, B)
+    for a, b in zip(batch.all_states(), single.all_states()):
+        assert a.serialize() == b.serialize()
