@@ -9,7 +9,7 @@ an expander at the schedule's final sparsity.
 
 from powercut import (
     DecompParams,
-    StreamSparsifierPools,
+    SparsifierPools,
     barbell_graph,
     decompose,
     gen_stream,
@@ -39,7 +39,7 @@ print()
 print("same pipeline, but fed through a dynamic stream:")
 B = barbell_graph(2, 4, 1)
 sp = DecompParams(eps=0.3, quality_k=2, mode="exact", seed=17)
-pools = StreamSparsifierPools(B.n, sp, spares=1)
+pools = SparsifierPools(B.n, sp, spares=1)
 n_states = sum(1 for _ in pools.all_states())
 pools.feed_many(gen_stream(B, churn=0.5, seed=2))
 print(f"  {n_states} independent stream states, "

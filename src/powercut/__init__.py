@@ -26,12 +26,12 @@ from .cuts import (
 from .decompose import (
     DecompParams,
     DecompositionInvariantError,
-    OfflineSparsifierPool,
     PoolExhausted,
     PoolTooLarge,
     RunReport,
     Schedule,
     SketchFailExhausted,
+    SparsifierPools,
     StreamSparsifierPools,
     VerifyReport,
     decompose,

@@ -7,11 +7,11 @@ shaves off sparse cuts at geometrically decreasing sparsity targets and
 volume thresholds, emitting the shaved vertices as singletons, until the
 remaining core is certified an expander.
 
-Each phase consumes sparsifiers from dedicated pools: one per recursion
-depth for phase one, one per (outer, inner) iteration slot for phase two,
-shared across all phase-two invocations.  Pools are backed either by
-offline samples of the input graph or by independent stream states that all
-saw the same update stream.
+Each phase consumes sparsifiers from its own slots of one `SparsifierPools`:
+one per recursion depth for phase one, one per (outer, inner) iteration for
+phase two, shared across all phase-two invocations.  A slot's sparsifier is
+either an offline sample of the input graph or recovered from an independent
+stream state; all the states saw the same update stream.
 
 Termination and quality bounds (recursion depth, iteration counts, the
 sparse-cut composition property, the singleton volume budget, per-cluster
@@ -47,14 +47,14 @@ from .prf import prf
 from .sparsify import SparsifierParams, sample
 from .stream import StreamState, update_arrays, worst_case_bytes
 
-_PHASE1_TAG = 0xA1
-_PHASE2_TAG = 0xA2
-_SPARE_TAG = 0x5A
+# prf tag of each slot kind: slot (kind, *index) samples with seed
+# prf(params.seed, tag, *index)
+_SLOT_TAGS = {"phase1": 0xA1, "phase2": 0xA2, "spare": 0x5A}
 
 EXACT_MODE = "exact"
 FAST_MODE = "fast"
 
-# most bytes the states of one `StreamSparsifierPools` may need once every
+# most bytes the states of one stream `SparsifierPools` may need once every
 # slot is touched; planted 4x50 (n = 200, 478 dense states) needs 1.38 GB
 POOL_BYTE_CAP = 2 << 30
 
@@ -184,107 +184,95 @@ def make_schedule(params: DecompParams, n: int) -> Schedule:
 # -- sparsifier pools ----------------------------------------------------------
 
 
-def _slot_params(params: DecompParams, psi: float, seed: int) -> SparsifierParams:
-    """Sparsifier parameters of one pool slot at accuracy psi."""
-    return SparsifierParams(
-        delta=params.delta,
-        eps=psi,
-        fail_exponent=params.fail_exponent,
-        upsilon_scale=params.upsilon_scale,
-        upsilon_override=params.upsilon_override,
-        seed=seed,
-    )
+def _slot_level(key: tuple) -> int:
+    """Accuracy level j of a slot, sampled at psi(j): 0 in phase one."""
+    return 0 if key[0] == "phase1" else key[1]
 
 
-class OfflineSparsifierPool:
-    """Lazy pool of independent offline samples, keyed by consumption slot."""
+class SparsifierPools:
+    """The sparsifier of every slot the decomposition consumes.
 
-    def __init__(self, G: Graph, params: DecompParams, sched: Schedule):
-        self._G = G
-        self._params = params
-        self._sched = sched
-        self._cache: dict[tuple, Graph] = {}
-        self.fail_retries = 0
+    Slots are keyed ("phase1", depth) for phase one and ("phase2", j, h)
+    for inner iteration h of phase two's outer iteration j; phase two's slots
+    are shared by all its invocations.  A slot's sparsifier is drawn on first
+    use and cached, at accuracy psi(0) in phase one and psi(j) in phase two.
+    Asking for a slot beyond the schedule's bounds raises `PoolExhausted`.
 
-    def phase1(self, depth: int) -> Graph:
-        if not (1 <= depth <= self._sched.depth_bound):
-            raise PoolExhausted(f"phase-one pool has no slot for depth {depth}")
-        key = ("phase1", depth)
-        if key not in self._cache:
-            sp = _slot_params(self._params, self._sched.psi(0),
-                              prf(self._params.seed, _PHASE1_TAG, depth))
-            self._cache[key] = sample(self._G, sp)
-        return self._cache[key]
+    Two sources, as two constructors:
 
-    def phase2(self, j: int, h: int) -> Graph:
-        if not (1 <= j <= self._sched.quality_k + 1):
-            raise PoolExhausted(f"phase-two pool has no level {j}")
-        if not (1 <= h <= self._sched.alg2_pool_size):
-            raise PoolExhausted(f"phase-two pool level {j} exhausted at slot {h}")
-        key = ("phase2", j, h)
-        if key not in self._cache:
-            sp = _slot_params(self._params, self._sched.psi(j),
-                              prf(self._params.seed, _PHASE2_TAG, j, h))
-            self._cache[key] = sample(self._G, sp)
-        return self._cache[key]
+    * `SparsifierPools(n, params, spares)` keeps one `StreamState` per slot,
+      plus `spares` spare states ("spare", j, s) per accuracy level j.  It is
+      built before the stream (the slot count comes from the volume upper
+      bound), fed every update, and handed to `decompose` afterwards.  A
+      FAIL during recovery consumes a spare of the slot's level; running out
+      raises `SketchFailExhausted`.  Before any state exists it adds up what
+      every state would hold once all its slots are touched
+      (`stream.worst_case_bytes`) and raises `PoolTooLarge` above
+      `POOL_BYTE_CAP`, so a configuration that needs gigabytes fails at once
+      instead of exhausting memory during the feed.
+    * `SparsifierPools.offline(G, params, sched)` samples G with the slot's
+      parameters; `decompose` builds it from a Graph source.
 
-    def memory_bytes(self) -> int:
-        return sum(g.edge_w.nbytes * 3 for g in self._cache.values())
-
-
-class StreamSparsifierPools:
-    """Pool slots backed by independent stream states fed the same stream.
-
-    Must be constructed before the stream (sizes come from the volume upper
-    bound), fed every update, and handed to `decompose` afterwards.  A FAIL
-    during recovery consumes one spare state of the same slot kind; running
-    out raises `SketchFailExhausted`.
-
-    Before any state exists, the pools add up what every state would hold
-    once all its slots are touched (`stream.worst_case_bytes`) and raise
-    `PoolTooLarge` above `POOL_BYTE_CAP`, so a configuration that needs
-    gigabytes fails at once instead of exhausting memory during the feed.
+    `memory_bytes` is what the stream states hold, or three words per edge
+    of the offline samples drawn so far.
     """
 
     def __init__(self, n: int, params: DecompParams, spares: int = 1):
-        self.n = n
-        self.params = params
-        self.sched = make_schedule(params, n)
-        self.fail_retries = 0
-        self._cache: dict[tuple, Graph] = {}
-
-        seed, sched = params.seed, self.sched
-        alg1 = [
-            _slot_params(params, sched.psi(0), prf(seed, _PHASE1_TAG, d))
-            for d in range(1, sched.depth_bound + 1)
-        ]
-        alg2 = {
-            j: [
-                _slot_params(params, sched.psi(j), prf(seed, _PHASE2_TAG, j, h))
-                for h in range(1, sched.alg2_pool_size + 1)
-            ]
-            for j in range(1, params.quality_k + 2)
-        }
-        spare = {
-            j: [_slot_params(params, sched.psi(j), prf(seed, _SPARE_TAG, j, s))
-                for s in range(spares)]
-            for j in range(params.quality_k + 2)
-        }
-        every = alg1 + [sp for group in (*alg2.values(), *spare.values()) for sp in group]
-        need = sum(worst_case_bytes(n, sp) for sp in every)
+        self._setup(n, params, make_schedule(params, n))
+        sched = self.sched
+        keys = [("phase1", d) for d in range(1, sched.depth_bound + 1)]
+        keys += [("phase2", j, h) for j in range(1, sched.quality_k + 2)
+                 for h in range(1, sched.alg2_pool_size + 1)]
+        keys += [("spare", j, s) for j in range(sched.quality_k + 2) for s in range(spares)]
+        slots = {key: self._slot_params(key) for key in keys}
+        need = sum(worst_case_bytes(n, sp) for sp in slots.values())
         if need > POOL_BYTE_CAP:
             raise PoolTooLarge(
-                f"stream pools of {len(every)} states over {n} vertices could need "
+                f"stream pools of {len(slots)} states over {n} vertices could need "
                 f"{need / 2**30:.3g} GiB, above the cap of {POOL_BYTE_CAP / 2**30:.3g} GiB"
             )
-        self._alg1 = [StreamState(n, sp) for sp in alg1]
-        self._alg2 = {j: [StreamState(n, sp) for sp in group] for j, group in alg2.items()}
-        self._spares = {j: [StreamState(n, sp) for sp in group] for j, group in spare.items()}
+        states = {key: StreamState(n, sp) for key, sp in slots.items()}
+        self._states = {key: st for key, st in states.items() if key[0] != "spare"}
+        self._spares = {
+            j: [states["spare", j, s] for s in range(spares)]
+            for j in range(sched.quality_k + 2)
+        }
+        self.deg = states["phase1", 1].deg
+
+    @classmethod
+    def offline(cls, G: Graph, params: DecompParams, sched: Schedule) -> "SparsifierPools":
+        """Pools that sample G lazily, one independent sample per slot."""
+        pools = cls.__new__(cls)
+        pools._setup(G.n, params, sched)
+        pools._graph = G
+        pools.deg = G.deg
+        return pools
+
+    def _setup(self, n: int, params: DecompParams, sched: Schedule) -> None:
+        self.n = n
+        self.params = params
+        self.sched = sched
+        self.fail_retries = 0
+        self._cache: dict[tuple, Graph] = {}
+        self._graph: Graph | None = None
+        self._states: dict[tuple, StreamState] = {}
+        self._spares: dict[int, list] = {}
+
+    def _slot_params(self, key: tuple) -> SparsifierParams:
+        """Sparsifier parameters of slot `key`."""
+        p = self.params
+        return SparsifierParams(
+            delta=p.delta,
+            eps=self.sched.psi(_slot_level(key)),
+            fail_exponent=p.fail_exponent,
+            upsilon_scale=p.upsilon_scale,
+            upsilon_override=p.upsilon_override,
+            seed=prf(p.seed, _SLOT_TAGS[key[0]], *key[1:]),
+        )
 
     def all_states(self):
-        yield from self._alg1
-        for states in self._alg2.values():
-            yield from states
+        """The stream states, spares last; none for offline pools."""
+        yield from self._states.values()
         for states in self._spares.values():
             yield from states
 
@@ -301,42 +289,47 @@ class StreamSparsifierPools:
         for st in self.all_states():
             st.apply(*arrays)
 
-    @property
-    def deg(self) -> np.ndarray:
-        return self._alg1[0].deg
+    def phase1(self, depth: int) -> Graph:
+        if not (1 <= depth <= self.sched.depth_bound):
+            raise PoolExhausted(f"phase-one pool has no slot for depth {depth}")
+        return self._fetch(("phase1", depth))
 
-    def _recover(self, st: StreamState, level: int) -> Graph:
-        g = st.recover_sparsifier()
+    def phase2(self, j: int, h: int) -> Graph:
+        if not (1 <= j <= self.sched.quality_k + 1):
+            raise PoolExhausted(f"phase-two pool has no level {j}")
+        if not (1 <= h <= self.sched.alg2_pool_size):
+            raise PoolExhausted(f"phase-two pool level {j} exhausted at slot {h}")
+        return self._fetch(("phase2", j, h))
+
+    def _fetch(self, key: tuple) -> Graph:
+        if key not in self._cache:
+            if self._graph is not None:
+                self._cache[key] = sample(self._graph, self._slot_params(key))
+            else:
+                self._cache[key] = self._recover(key)
+        return self._cache[key]
+
+    def _recover(self, key: tuple) -> Graph:
+        """The slot's recovered sparsifier, retrying spares of its level."""
+        level = _slot_level(key)
+        g = self._states[key].recover_sparsifier()
         while g is None:
             if not self._spares[level]:
                 raise SketchFailExhausted(
                     f"stream recovery failed with no spare left (level {level})"
                 )
             self.fail_retries += 1
-            st = self._spares[level].pop(0)
-            g = st.recover_sparsifier()
+            g = self._spares[level].pop(0).recover_sparsifier()
         return g
 
-    def phase1(self, depth: int) -> Graph:
-        if not (1 <= depth <= self.sched.depth_bound):
-            raise PoolExhausted(f"phase-one pool has no slot for depth {depth}")
-        key = ("phase1", depth)
-        if key not in self._cache:
-            self._cache[key] = self._recover(self._alg1[depth - 1], 0)
-        return self._cache[key]
-
-    def phase2(self, j: int, h: int) -> Graph:
-        if not (1 <= j <= self.params.quality_k + 1):
-            raise PoolExhausted(f"phase-two pool has no level {j}")
-        if not (1 <= h <= self.sched.alg2_pool_size):
-            raise PoolExhausted(f"phase-two pool level {j} exhausted at slot {h}")
-        key = ("phase2", j, h)
-        if key not in self._cache:
-            self._cache[key] = self._recover(self._alg2[j][h - 1], j)
-        return self._cache[key]
-
     def memory_bytes(self) -> int:
+        if self._graph is not None:
+            return sum(g.edge_w.nbytes * 3 for g in self._cache.values())
         return sum(st.memory_bytes() for st in self.all_states())
+
+
+# old names kept for perfbench, whose tracer wraps each name's own `phase1`/`phase2`
+StreamSparsifierPools = OfflineSparsifierPool = SparsifierPools
 
 
 # -- reports -------------------------------------------------------------------
@@ -416,13 +409,13 @@ def _phi_within(G: Graph, cluster_mask: np.ndarray, S: np.ndarray) -> float:
 
 
 class Decomposer:
-    def __init__(self, deg: np.ndarray, pools, params: DecompParams,
-                 sched: Schedule, reference: Graph | None):
-        self.deg = np.asarray(deg, dtype=np.float64)
+    def __init__(self, pools: SparsifierPools, reference: Graph | None):
         self.pools = pools
-        self.params = params
-        self.sched = sched
+        self.deg = np.asarray(pools.deg, dtype=np.float64)
+        self.params = pools.params
+        self.sched = pools.sched
         self.reference = reference
+        params, sched = self.params, self.sched
         self.report = RunReport(
             mode=params.mode,
             seed=params.seed,
@@ -439,6 +432,8 @@ class Decomposer:
         return float(self.deg[S].sum())
 
     def _find_cut(self, H: Graph, C: np.ndarray, phi: float) -> BalancedCutOutcome:
+        """Balanced sparse cut of C on H, in global ids, checked against its
+        exact or sweep sparsity bound in the reference graph."""
         H_c = H.induce_with_loops(C)
         deg_local = self.deg[C]
         use_exact = self.params.mode == EXACT_MODE and C.size <= self.params.exact_cut_limit
@@ -456,9 +451,11 @@ class Decomposer:
                     raise
         if out.expander:
             return out
+        S = C[out.cut]
+        self._check_cut_sparsity(C, S, phi, use_exact)
         return BalancedCutOutcome(
             False,
-            cut=C[out.cut],
+            cut=S,
             sparsity_estimate=out.sparsity_estimate,
             balance=out.balance,
         )
@@ -482,11 +479,8 @@ class Decomposer:
         self.report.composition_checks += 1
 
     def low_depth_decomposition(self, C: np.ndarray, depth: int) -> list:
-        """Phase one: balanced cuts at phi_0 with one sparsifier per depth."""
-        if depth > self.sched.depth_bound:
-            raise PoolExhausted(
-                f"recursion depth {depth} exceeds bound {self.sched.depth_bound}"
-            )
+        """Phase one: balanced cuts at phi_0 with one sparsifier per depth;
+        the pools raise `PoolExhausted` past the depth bound."""
         self.report.depth = max(self.report.depth, depth)
         self.report.pool_alg1_used = max(self.report.pool_alg1_used, depth)
         H = self.pools.phase1(depth)
@@ -495,10 +489,6 @@ class Decomposer:
         if out.expander:
             return [C]
         S = out.cut
-        used_exact = (
-            self.params.mode == EXACT_MODE and C.size <= self.params.exact_cut_limit
-        )
-        self._check_cut_sparsity(C, S, phi0, used_exact)
         vol_c = self._vol(C)
         if self._vol(S) >= (self.params.eps * self.sched.b / 4.0) * vol_c:
             rest = np.setdiff1d(C, S)
@@ -536,11 +526,6 @@ class Decomposer:
                     self._check_singleton_budget(C0, leftovers, vol_c0)
                     return [C] + [np.array([v], dtype=np.int64) for v in leftovers.tolist()]
                 S = out.cut
-                used_exact = (
-                    self.params.mode == EXACT_MODE
-                    and C.size <= self.params.exact_cut_limit
-                )
-                self._check_cut_sparsity(C, S, phi_j, used_exact)
                 if self._vol(S) >= (sched.b / 2.0) * m_j:
                     C = np.setdiff1d(C, S)
                     removed.append(S)
@@ -585,30 +570,22 @@ class Decomposer:
 def decompose(source, params: DecompParams, reference_graph: Graph | None = None):
     """Run the two-phase decomposition; returns (clusters, RunReport).
 
-    `source` is either a Graph (offline sampling of pools) or a fed
-    `StreamSparsifierPools`.  When the original graph is available the
+    `source` is either a Graph, sampled by offline pools, or fed stream
+    `SparsifierPools`.  When the original graph is available the
     termination and quality bounds are enforced as runtime checks; in pure
     streaming mode they are skipped.
     """
+    pools, reference = source, reference_graph
     if isinstance(source, Graph):
-        G = source
-        deg = G.deg
-        n = G.n
-        sched = make_schedule(params, n)
-        pools = OfflineSparsifierPool(G, params, sched)
-        reference = G if reference_graph is None else reference_graph
-    elif isinstance(source, StreamSparsifierPools):
-        pools = source
-        if pools.params != params:
-            raise GraphError("stream pools were built with different parameters")
-        deg = pools.deg.astype(np.float64)
-        n = pools.n
-        sched = pools.sched
-        reference = reference_graph
-    else:
-        raise GraphError("source must be a Graph or StreamSparsifierPools")
+        pools = SparsifierPools.offline(source, params, make_schedule(params, source.n))
+        reference = source if reference_graph is None else reference_graph
+    elif not isinstance(source, SparsifierPools):
+        raise GraphError("source must be a Graph or SparsifierPools")
+    if pools.params != params:
+        raise GraphError("pools were built with different parameters")
 
-    driver = Decomposer(deg, pools, params, sched, reference)
+    driver = Decomposer(pools, reference)
+    deg, sched = driver.deg, driver.sched
     isolated = np.flatnonzero(deg == 0).astype(np.int64)
     active = np.flatnonzero(deg > 0).astype(np.int64)
     clusters: list[np.ndarray] = []

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 from .decompose import (
     DecompParams,
-    StreamSparsifierPools,
+    SparsifierPools,
     decompose,
     verify_decomposition,
 )
@@ -86,7 +86,7 @@ def run_trial(config: ExperimentConfig, trial: int) -> TrialResult:
 
     start = time.perf_counter()
     if config.stream is not None:
-        pools = StreamSparsifierPools(G.n, params, spares=int(config.stream.get("spares", 1)))
+        pools = SparsifierPools(G.n, params, spares=int(config.stream.get("spares", 1)))
         updates = gen_stream(G, config.stream.get("churn", 0.0), seed=prf(trial_seed, 2))
         pools.feed_many(updates)
         clusters, report = decompose(pools, params, reference_graph=G)

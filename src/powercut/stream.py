@@ -301,9 +301,11 @@ class StreamState:
     def recover_sparsifier(self) -> Graph | None:
         """Recover the weighted sampled graph, or None on any sketch FAIL.
 
-        A dense state reads the rows at levels j_v and returns None exactly
-        where the sketch's deterministic rules would: an entry outside
-        [-1, n], or more than k nonzeros in a row.
+        The net edge multiset of a valid stream is a simple graph, so every
+        recovered entry is 0 or 1; any other entry gives None on both paths.
+        A dense state reads the rows at levels j_v and also returns None
+        where the sketch's other deterministic rule would: more than k
+        nonzeros in a row.
         """
         j = vertex_levels(self.deg, self.upsilon, self.levels)
         if self.dense:
@@ -311,7 +313,7 @@ class StreamState:
             # may grow the block: before reading it
             rows = self._rows(j * self.n + np.arange(self.n))
             vecs = self._payload[0][rows]
-            if ((vecs < -1) | (vecs > self.n)).any() or (
+            if ((vecs < 0) | (vecs > 1)).any() or (
                 np.count_nonzero(vecs, axis=1) > self.k
             ).any():
                 return None
@@ -321,7 +323,7 @@ class StreamState:
             keys = set()
             for v in range(self.n):
                 neigh = self.sketch_at(int(j[v]), v).recover()
-                if neigh is None:
+                if neigh is None or any(x != 1 for x in neigh.values()):
                     return None
                 keys.update(min(u, v) * self.n + max(u, v) for u in neigh)
             keys = np.array(sorted(keys), dtype=np.int64)
@@ -388,7 +390,8 @@ def load_stream(path):
     """Read a stream file; a malformed line raises StreamError naming it.
 
     The first line is n >= 1; every other non-blank line is exactly
-    "+ u v" or "- u v" with u != v, both in [0, n).
+    "+ u v" or "- u v" with u != v, both in [0, n).  The stream must keep
+    the graph simple: "+" only for an absent edge, "-" only for a present one.
     """
     with open(path) as f:
         header = f.readline().split()
@@ -396,6 +399,7 @@ def load_stream(path):
             raise StreamError(f"{path}:1: expected the vertex count n >= 1")
         n = int(header[0])
         updates = []
+        live = set()
         for lineno, line in enumerate(f, start=2):
             parts = line.split()
             if not parts:
@@ -411,5 +415,14 @@ def load_stream(path):
                 raise StreamError(f"{where}: vertex id out of range [0, {n})")
             if u == v:
                 raise StreamError(f"{where}: loop at vertex {u}; stream edges are loop-free")
-            updates.append(StreamUpdate(parts[0] == "+", u, v))
+            insert, pair = parts[0] == "+", u * n + v if u < v else v * n + u
+            if insert:
+                if pair in live:
+                    raise StreamError(f"{where}: + of edge {{{u}, {v}}}, which is present")
+                live.add(pair)
+            else:
+                if pair not in live:
+                    raise StreamError(f"{where}: - of edge {{{u}, {v}}}, which is absent")
+                live.remove(pair)
+            updates.append(StreamUpdate(insert, u, v))
     return n, updates

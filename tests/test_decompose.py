@@ -7,11 +7,10 @@ from powercut import (
     DecompParams,
     Graph,
     GraphError,
-    OfflineSparsifierPool,
     PoolExhausted,
     Schedule,
     SketchFailExhausted,
-    StreamSparsifierPools,
+    SparsifierPools,
     barbell_graph,
     decompose,
     gen_stream,
@@ -167,8 +166,8 @@ def spiked_driver(G, eps=0.2, k=2, seed=3):
         eps=eps, quality_k=k, alpha=params.resolved_alpha, b=params.resolved_b,
         delta=params.delta, o_vol=float(G.total_volume) ** 2,
     )
-    pools = OfflineSparsifierPool(G, params, sched)
-    return Decomposer(G.deg, pools, params, sched, reference=G), sched
+    pools = SparsifierPools.offline(G, params, sched)
+    return Decomposer(pools, reference=G), sched
 
 
 def test_phase_two_shaves_pendant_into_singletons():
@@ -212,8 +211,8 @@ def test_pool_exhaustion_is_a_configuration_error():
         eps=0.3, quality_k=2, alpha=params.resolved_alpha, b=params.resolved_b,
         delta=params.delta, o_vol=256.0,
     )
-    pools = OfflineSparsifierPool(G, params, sched)
-    driver = Decomposer(G.deg, pools, params, sched, reference=G)
+    pools = SparsifierPools.offline(G, params, sched)
+    driver = Decomposer(pools, reference=G)
     with pytest.raises(PoolExhausted):
         driver.low_depth_decomposition(np.arange(16, dtype=np.int64), 1)
 
@@ -256,7 +255,7 @@ def test_verify_detects_nonexpander_cluster():
 def test_streaming_decompose_matches_verifier():
     B = barbell_graph(2, 4, 1)
     params = DecompParams(eps=0.3, quality_k=2, seed=42)
-    pools = StreamSparsifierPools(8, params, spares=1)
+    pools = SparsifierPools(8, params, spares=1)
     pools.feed_many(gen_stream(B, churn=0.5, seed=1))
     clusters, rep = decompose(pools, params, reference_graph=B)
     assert verify_decomposition(B, clusters, params.eps, rep.phi_final).ok
@@ -265,7 +264,7 @@ def test_streaming_decompose_matches_verifier():
 
 def test_streaming_pools_reject_mismatched_params():
     params = DecompParams(eps=0.3, quality_k=2, seed=42)
-    pools = StreamSparsifierPools(8, params, spares=0)
+    pools = SparsifierPools(8, params, spares=0)
     other = DecompParams(eps=0.2, quality_k=2, seed=42)
     with pytest.raises(GraphError):
         decompose(pools, other)
@@ -280,7 +279,7 @@ def test_stream_pool_spare_retry_and_exhaustion():
         params = DecompParams(
             eps=0.3, quality_k=1, seed=seed, upsilon_override=0.12
         )
-        pools = StreamSparsifierPools(6, params, spares=spares)
+        pools = SparsifierPools(6, params, spares=spares)
         pools.feed_many(upds)
         return pools
 

@@ -4,7 +4,8 @@ A `StreamState` whose sparsity budget covers the universe (k == n) keeps
 each slot as its net vector.  Forcing the sketch path through the
 `stream.dense_slots` predicate must give the same serialized state, the same
 bucket accounting and, where the sketch does not FAIL, the same recovered
-sparsifier and decomposition.
+sparsifier and decomposition.  Dense stream pools must also decompose like
+offline pools that draw `sample_offline`.
 """
 
 import importlib
@@ -19,7 +20,7 @@ from powercut import (
     DecompParams,
     PoolTooLarge,
     SparsifierParams,
-    StreamSparsifierPools,
+    SparsifierPools,
     StreamState,
     StreamUpdate,
     barbell_graph,
@@ -108,6 +109,10 @@ def test_sketch_at_on_dense_state_is_a_copy():
     [(False, 0, 5), (False, 0, 5)],
     # an edge inserted n more times: net entry n + 1
     [(True, 2, 3)] * 8,
+    # an absent edge deleted once: net entry -1
+    [(False, 0, 5)],
+    # a present edge inserted again: net entry 2
+    [(True, 2, 3)],
 ])
 def test_entry_outside_minus_one_to_n_fails_on_both_paths(ops):
     G = barbell_graph(2, 4, 1)
@@ -145,9 +150,9 @@ def test_dense_pools_decompose_like_sketch_pools(clique_size, seed):
     B = barbell_graph(2, clique_size, 1)
     params = DecompParams(eps=0.3, quality_k=2, seed=seed)
     updates = gen_stream(B, churn=0.5, seed=seed)
-    dense = StreamSparsifierPools(B.n, params)
+    dense = SparsifierPools(B.n, params)
     with sketch_path():
-        sketched = StreamSparsifierPools(B.n, params)
+        sketched = SparsifierPools(B.n, params)
     assert all(s.dense for s in dense.all_states())
     assert not any(s.dense for s in sketched.all_states())
     outcomes = []
@@ -158,6 +163,34 @@ def test_dense_pools_decompose_like_sketch_pools(clique_size, seed):
                          report.memory_bytes))
     assert outcomes[0][:2] == outcomes[1][:2]
     assert outcomes[0][2] < outcomes[1][2]
+
+
+@pytest.mark.parametrize(
+    "cliques,clique_size,seed",
+    [(2, 4, s) for s in (1, 2, 3, 4)] + [(2, 10, s) for s in (1, 5, 7)]
+    + [(3, 6, s) for s in (1, 3, 9, 11)],
+)
+def test_dense_stream_pools_decompose_like_offline_pools(monkeypatch, cliques, clique_size,
+                                                         seed):
+    # a dense state recovers exactly what `sample_offline` draws from the
+    # final graph with the slot's parameters, so stream pools must decompose
+    # like offline pools that draw `sample_offline`
+    B = barbell_graph(cliques, clique_size, 1)
+    params = DecompParams(eps=0.3, quality_k=2, seed=seed)
+    pools = SparsifierPools(B.n, params)
+    assert all(s.dense for s in pools.all_states())
+    pools.feed_many(gen_stream(B, churn=0.5, seed=seed))
+    streamed, streamed_report = decompose(pools, params, reference_graph=B)
+    monkeypatch.setattr(decompose_mod, "sample", sample_offline)
+    offline, offline_report = decompose(B, params)
+    assert [c.tolist() for c in streamed] == [c.tolist() for c in offline]
+    assert _report_without_memory(streamed_report) == _report_without_memory(offline_report)
+    drawn = SparsifierPools.offline(B, params, pools.sched)
+    for d in range(1, streamed_report.pool_alg1_used + 1):
+        assert_same_graph(pools.phase1(d), drawn.phase1(d))
+    for j, count in streamed_report.iterations.items():
+        for h in range(1, count + 1):
+            assert_same_graph(pools.phase2(j, h), drawn.phase2(j, h))
 
 
 # -- preflight byte cap ---------------------------------------------------------------
@@ -174,15 +207,15 @@ def test_pools_over_the_cap_allocate_nothing(monkeypatch):
     monkeypatch.setattr(decompose_mod, "StreamState", CountingState)
     B = barbell_graph(2, 4, 1)
     params = DecompParams(eps=0.3, quality_k=2, seed=1)
-    states = list(StreamSparsifierPools(B.n, params).all_states())
+    states = list(SparsifierPools(B.n, params).all_states())
     assert len(built) == len(states)
     need = sum(stream_mod.worst_case_bytes(B.n, s.params) for s in states)
     monkeypatch.setattr(decompose_mod, "POOL_BYTE_CAP", need)
-    StreamSparsifierPools(B.n, params)
+    SparsifierPools(B.n, params)
     built.clear()
     monkeypatch.setattr(decompose_mod, "POOL_BYTE_CAP", need - 1)
     with pytest.raises(PoolTooLarge) as err:
-        StreamSparsifierPools(B.n, params)
+        SparsifierPools(B.n, params)
     assert isinstance(err.value, ValueError)
     assert not built
 
@@ -205,7 +238,7 @@ def test_cli_run_exits_2_for_pools_over_the_cap(tmp_path, monkeypatch):
 
 def test_cap_admits_dense_planted_4x50_and_refuses_its_sketch_budget():
     params = DecompParams(eps=0.3, quality_k=2, seed=1)
-    pools = StreamSparsifierPools(200, params)
+    pools = SparsifierPools(200, params)
     states = list(pools.all_states())
     assert len(states) == 478 and all(s.dense for s in states)
     need = sum(stream_mod.worst_case_bytes(200, s.params) for s in states)
@@ -213,4 +246,4 @@ def test_cap_admits_dense_planted_4x50_and_refuses_its_sketch_budget():
     assert pools.memory_bytes() == sum(s.deg.nbytes for s in states)
     with sketch_path():
         with pytest.raises(PoolTooLarge):
-            StreamSparsifierPools(200, params)
+            SparsifierPools(200, params)

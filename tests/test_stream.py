@@ -195,6 +195,8 @@ def test_stream_file_roundtrip(tmp_path):
         ("+ -1 2\n", 2),  # negative id
         ("+ 0 x\n", 2),  # not an integer
         ("+ 0 1\n\n+ 2 2\n", 4),  # loop
+        ("+ 0 1\n- 1 2\n", 3),  # delete of an absent edge
+        ("+ 0 1\n- 1 0\n+ 0 1\n+ 1 0\n", 5),  # insert of a present edge
     ],
 )
 def test_load_stream_rejects_bad_lines(tmp_path, body, lineno):

@@ -18,7 +18,7 @@ from powercut import (
     SketchParams,
     SparseRecoverySketch,
     SparsifierParams,
-    StreamSparsifierPools,
+    SparsifierPools,
     StreamState,
     StreamUpdate,
     barbell_graph,
@@ -296,9 +296,9 @@ def _pools_and_stream(seed):
 
 def test_pools_feed_many_equals_per_update_feed():
     B, params_d, updates = _pools_and_stream(42)
-    batch = StreamSparsifierPools(B.n, params_d, spares=1)
+    batch = SparsifierPools(B.n, params_d, spares=1)
     batch.feed_many(updates)
-    single = StreamSparsifierPools(B.n, params_d, spares=1)
+    single = SparsifierPools(B.n, params_d, spares=1)
     for upd in updates:
         single.feed(upd)
     for a, b in zip(batch.all_states(), single.all_states()):
@@ -313,7 +313,7 @@ def test_pools_feed_many_equals_per_update_feed():
 
 def test_pools_reject_bad_batch_before_any_state_changes():
     B, params_d, updates = _pools_and_stream(7)
-    pools = StreamSparsifierPools(B.n, params_d, spares=0)
+    pools = SparsifierPools(B.n, params_d, spares=0)
     with pytest.raises(StreamError):
         pools.feed_many(updates + [StreamUpdate(True, 0, B.n)])
     assert pools.memory_bytes() == sum(st.deg.nbytes for st in pools.all_states())
@@ -400,9 +400,9 @@ def test_pools_feed_many_equals_per_update_feed_on_sketch_path():
     B = barbell_graph(2, 4, 1)
     params_d = DecompParams(eps=0.3, quality_k=2, seed=42, upsilon_override=SKETCH_UPS)
     updates = gen_stream(B, churn=0.5, seed=42)
-    batch = StreamSparsifierPools(B.n, params_d, spares=1)
+    batch = SparsifierPools(B.n, params_d, spares=1)
     batch.feed_many(updates)
-    single = StreamSparsifierPools(B.n, params_d, spares=1)
+    single = SparsifierPools(B.n, params_d, spares=1)
     for upd in updates:
         single.feed(upd)
     for a, b in zip(batch.all_states(), single.all_states()):
