@@ -18,16 +18,13 @@ _STREAM_TAG = 0x5347
 
 
 def gnp_graph(n: int, p: float, seed: int = 0) -> Graph:
-    """Erdos-Renyi G(n, p)."""
+    """Erdos-Renyi G(n, p): one uniform draw per pair u < v, row by row."""
     if not (0.0 <= p <= 1.0):
         raise GraphError("need p in [0, 1]")
     rng = np.random.default_rng(seed & ((1 << 64) - 1))
-    edges = []
-    for u in range(n):
-        draws = rng.random(n - u - 1)
-        for off in np.flatnonzero(draws < p):
-            edges.append((u, u + 1 + int(off)))
-    return Graph(n, edges)
+    u, v = np.triu_indices(n, 1)
+    keep = rng.random(u.size) < p
+    return Graph.from_arrays(n, u[keep], v[keep], np.ones(int(keep.sum())))
 
 
 def random_regular_graph(n: int, d: int, seed: int = 0, max_restarts: int = 200) -> Graph:
@@ -86,29 +83,23 @@ def barbell_graph(c: int, s: int, bridges: int) -> Graph:
         raise GraphError("need c >= 1 cliques of size s >= 1")
     if bridges > s:
         raise GraphError("at most s bridges between consecutive cliques")
-    edges = []
-    for block in range(c):
-        base = block * s
-        for i in range(s):
-            for j in range(i + 1, s):
-                edges.append((base + i, base + j))
-    for block in range(c - 1):
-        for j in range(bridges):
-            edges.append((block * s + j, (block + 1) * s + j))
-    return Graph(c * s, edges)
+    iu, iv = np.triu_indices(s, 1)
+    base = np.arange(c, dtype=np.int64)[:, None] * s
+    # clique edges block by block, then bridge j of each consecutive pair
+    bridge = (base[:-1] + np.arange(bridges)).ravel()
+    u = np.concatenate([(base + iu).ravel(), bridge])
+    v = np.concatenate([(base + iv).ravel(), bridge + s])
+    return Graph.from_arrays(c * s, u, v, np.ones(u.size))
 
 
 def planted_partition_graph(c: int, s: int, p_in: float, p_out: float, seed: int = 0) -> Graph:
-    """c clusters of size s; edge probability p_in within, p_out across."""
+    """c clusters of size s; edge probability p_in within, p_out across,
+    one uniform draw per pair u < v, row by row."""
     n = c * s
     rng = np.random.default_rng(seed & ((1 << 64) - 1))
-    edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            p = p_in if u // s == v // s else p_out
-            if rng.random() < p:
-                edges.append((u, v))
-    return Graph(n, edges)
+    u, v = np.triu_indices(n, 1)
+    keep = rng.random(u.size) < np.where(u // s == v // s, p_in, p_out)
+    return Graph.from_arrays(n, u[keep], v[keep], np.ones(int(keep.sum())))
 
 
 def gen_graph(model: str, seed: int = 0, **kw) -> Graph:

@@ -37,14 +37,19 @@ def prf(seed: int, *words: int) -> int:
     return h
 
 
+# the mixer's words and shifts as numpy scalars, built once
+_GAMMA_U, _MIX1_U, _MIX2_U = (np.uint64(c) for c in (_GAMMA, _MIX1, _MIX2))
+_S27, _S30, _S31 = (np.uint64(s) for s in (27, 30, 31))
+
+
 def mix64_array(x: np.ndarray) -> np.ndarray:
     """Vectorized splitmix64 on a uint64 array (wraparound arithmetic)."""
-    z = np.asarray(x, dtype=np.uint64) + np.uint64(_GAMMA)
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(_MIX1)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(_MIX2)
-    z ^= z >> np.uint64(31)
+    z = np.asarray(x, dtype=np.uint64) + _GAMMA_U
+    z ^= z >> _S30
+    z *= _MIX1_U
+    z ^= z >> _S27
+    z *= _MIX2_U
+    z ^= z >> _S31
     return z
 
 

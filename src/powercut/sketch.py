@@ -11,6 +11,9 @@ accumulates (count, id_sum, fingerprint) where the fingerprint lives in the
 prime field mod 2^61 - 1 and accumulates value * r^index for a seeded field
 element r.  State is linear in the update stream, so sketches with equal
 parameters and seed can be merged bucket-wise.
+Sketches of one shape stack into (S, R, B) blocks: `accumulate` adds items
+to a block and `peel` recovers all its sketches at once, both through
+`_add_cells`; `update_many` and `recover` run them on a block of one.
 """
 
 from __future__ import annotations
@@ -123,6 +126,46 @@ def field_pow(base: np.ndarray, exp: np.ndarray) -> np.ndarray:
     return out
 
 
+def _net(key: np.ndarray, delta: np.ndarray):
+    """The distinct keys, sorted, with their nonzero sums of `delta`."""
+    order = np.argsort(key, kind="stable")
+    key, delta = key[order], delta[order]
+    first = np.ones(key.size, dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    net = np.add.reduceat(delta, np.flatnonzero(first))
+    live = net != 0
+    return key[first][live], net[live]
+
+
+def _add_cells(counts, id_sums, fps, slot, row_seeds, index, delta, incs) -> None:
+    """Add item t, in every hash row of the sketch in block row `slot[t]`
+    (row seeds `row_seeds[t]`): `delta[t]` to its bucket's count,
+    `delta[t] * index[t]` to its id sum and `incs[t]` < 2^61, taken mod p,
+    to its fingerprint.  Counts and id sums are added as int64, as `update`
+    adds them; fingerprints are summed per distinct cell with a float64
+    bincount of their 31-bit and 30-bit halves, exact because callers add
+    at most `WINDOW_CELLS` (item, row) pairs, so sums stay below 2^47.
+    """
+    R, B = counts.shape[1:]
+    # flat views of the C-contiguous blocks: writes through them land in the blocks
+    counts_flat, id_sums_flat, fps_flat = (a.reshape(-1) for a in (counts, id_sums, fps))
+    bucket = bucket_hash(row_seeds, index, B).astype(np.int64)
+    cell = ((slot[:, None] * R + np.arange(R)) * B + bucket).ravel()
+    np.add.at(counts_flat, cell, np.repeat(delta, R))
+    np.add.at(id_sums_flat, cell, np.repeat(delta * index, R))
+    cells, inverse = np.unique(cell, return_inverse=True)
+    incs = np.repeat(incs, R)
+    lo, hi = (
+        np.bincount(inverse, weights=w, minlength=cells.size).astype(np.uint64)
+        for w in (incs & _LO31, incs >> np.uint64(31))
+    )
+    # hi * 2^31 = (hi >> 30) + (hi & LO30) * 2^31 mod p; with the old value
+    # below p < 2^61 the sum stays below 2^63
+    fps_flat[cells] = field_reduce(
+        fps_flat[cells] + lo + (hi >> np.uint64(30)) + ((hi & _LO30) << np.uint64(31))
+    )
+
+
 def accumulate(counts, id_sums, fps, seeds, slot, index, delta, universe: int) -> None:
     """Add items (slot[t], index[t], delta[t]) into a block of stacked sketches.
 
@@ -131,27 +174,15 @@ def accumulate(counts, id_sums, fps, seeds, slot, index, delta, universe: int) -
     [0, universe).  The end state is that of one `update(index[t], delta[t])`
     per item on the sketch of its slot, bit for bit: the sketch is linear
     and stays reduced mod p.  Items are netted per (slot, index) first, so
-    cancelled updates cost nothing.  The rest are hashed in windows of at
-    most `WINDOW_CELLS` (item, row) pairs.  Counts and id sums are added
-    with integer `np.add.at`, as `update` adds them; fingerprints are summed
-    per distinct cell with a float64 bincount of their 31-bit and 30-bit
-    halves, exact because a window's sums stay below 2^16 * 2^31 < 2^53.
+    cancelled updates cost nothing.  The rest are hashed and added by
+    `_add_cells` in windows of at most `WINDOW_CELLS` (item, row) pairs.
     """
-    S, R, B = counts.shape
+    R = counts.shape[1]
     if not all(a.flags.c_contiguous for a in (counts, id_sums, fps)):
         raise SketchError("sketch arrays must be C-contiguous")
-    # flat views: writes through them land in the blocks
-    counts_flat, id_sums_flat, fps_flat = (a.reshape(-1) for a in (counts, id_sums, fps))
     key = np.asarray(slot, dtype=np.int64) * universe + np.asarray(index, dtype=np.int64)
-    order = np.argsort(key, kind="stable")
-    key, delta = key[order], np.asarray(delta, dtype=np.int64)[order]
-    if key.size == 0:
-        return
-    first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-    net = np.add.reduceat(delta, first)
-    live = net != 0
-    key, net = key[first][live], net[live]
-    if key.size == 0:  # every item cancelled
+    key, net = _net(key, np.asarray(delta, dtype=np.int64))
+    if key.size == 0:  # no items, or every item cancelled
         return
     slot, index = np.divmod(key, universe)
     starts = np.r_[True, slot[1:] != slot[:-1]]
@@ -164,23 +195,62 @@ def accumulate(counts, id_sums, fps, seeds, slot, index, delta, universe: int) -
         seeds_w = seeds[slots[rank[a] : rank[b - 1] + 1]]
         local = rank[a:b] - rank[a]
         x, d = index[a:b], net[a:b]
-        bucket = bucket_hash(sketch_row_seeds(seeds_w, R)[local], x, B).astype(np.int64)
-        cell = ((slot[a:b, None] * R + np.arange(R)) * B + bucket).ravel()
-        np.add.at(counts_flat, cell, np.repeat(d, R))
-        np.add.at(id_sums_flat, cell, np.repeat(d * x, R))
         incs = field_mul(
             (d % FIELD_PRIME).astype(np.uint64), field_pow(sketch_fp_bases(seeds_w)[local], x)
         )
-        cells, inverse = np.unique(cell, return_inverse=True)
+        _add_cells(
+            counts, id_sums, fps, slot[a:b], sketch_row_seeds(seeds_w, R)[local], x, d, incs
+        )
 
-        def cell_sums(weights):
-            w = np.repeat(weights.astype(np.float64), R)
-            return np.bincount(inverse, weights=w, minlength=cells.size).astype(np.uint64)
 
-        # hi * 2^31 = (hi >> 30) + (hi & LO30) * 2^31 mod p; the sum stays below 2^62
-        lo, hi = cell_sums(incs & _LO31), cell_sums(incs >> np.uint64(31))
-        contrib = field_reduce(lo + (hi >> np.uint64(30)) + ((hi & _LO30) << np.uint64(31)))
-        fps_flat[cells] = field_reduce(fps_flat[cells] + contrib)
+def peel(counts, id_sums, fps, row_seeds, fp_bases, universe: int):
+    """Peel every sketch of a block at once; returns the nonzero net
+    entries (slot, index, value), sorted, and an (S,) FAIL flag: True where
+    a residual is left.
+
+    The C-contiguous (S, R, B) arrays are changed, so pass copies; row s
+    has hash-row seeds `row_seeds[s]` and fingerprint base `fp_bases[s]`.
+    Each round runs the one-sketch rule in every slot at once: a nonzero
+    cell is pure when its id sum is its count times a candidate in
+    [0, universe) and its count is in [-1, universe]; the first pure cell of
+    each (slot, candidate) is accepted if its fingerprint is
+    count * r^candidate; the accepted items are subtracted.  A slot whose
+    round accepts nothing stays as it is, so the rounds stop when no slot
+    accepts an item, or after universe + 2.
+    """
+    R, B = counts.shape[1:]
+    step = max(1, WINDOW_CELLS // R)
+    # flat views: cell r * B + b of slot s is at (s * R + r) * B + b
+    counts_flat, ids_flat, fps_flat = (a.reshape(-1) for a in (counts, id_sums, fps))
+    found = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))]
+    for _ in range(universe + 2):
+        cell = np.flatnonzero(counts_flat)
+        if cell.size == 0:
+            break
+        slot, c, s = cell // (R * B), counts_flat[cell], ids_flat[cell]
+        cand = s // c
+        pure = np.flatnonzero(
+            (s == cand * c) & (cand >= 0) & (cand < universe) & (c >= -1) & (c <= universe))
+        # cells come in row-major order, so np.unique keeps the first pure
+        # cell of every (slot, candidate)
+        first = pure[np.unique(slot[pure] * universe + cand[pure], return_index=True)[1]]
+        cell, slot, i, v = cell[first], slot[first], cand[first], c[first]
+        fp = np.array([x % FIELD_PRIME * pow(r, j, FIELD_PRIME) % FIELD_PRIME for x, r, j in
+                       zip(v.tolist(), fp_bases[slot].tolist(), i.tolist())], dtype=np.uint64)
+        ok = fps_flat[cell] == fp
+        if not ok.any():
+            break
+        slot, i, v = slot[ok], i[ok], v[ok]
+        # subtracting v * r^i adds p - fp, below 2^61 as `_add_cells` needs
+        decs = _PRIME - fp[ok]
+        for a in range(0, slot.size, step):
+            w = slice(a, a + step)
+            _add_cells(counts, id_sums, fps, slot[w], row_seeds[slot[w]], i[w], -v[w], decs[w])
+        found.append((slot * universe + i, v))
+    key, value = _net(*map(np.concatenate, zip(*found)))
+    slot, index = np.divmod(key, universe)
+    fail = counts.any(axis=(1, 2)) | id_sums.any(axis=(1, 2)) | fps.any(axis=(1, 2))
+    return slot, index, value, fail
 
 
 class SparseRecoverySketch:
@@ -194,20 +264,14 @@ class SparseRecoverySketch:
         self.params = params
         R, B = params.rows, params.buckets_per_row
         if arrays is None:
-            arrays = (
-                np.zeros((R, B), dtype=np.int64),
-                np.zeros((R, B), dtype=np.int64),
-                np.zeros((R, B), dtype=np.uint64),
-            )
+            arrays = tuple(np.zeros((R, B), dtype=t) for t in (np.int64, np.int64, np.uint64))
         self.counts, self.id_sums, self.fps = arrays
         self._seeds = np.array([params.seed & MASK64], dtype=np.uint64)
         self._row_seeds = sketch_row_seeds(self._seeds, R)[0]
-        # field element for the polynomial fingerprint, away from 0 and 1
+        # field element for the polynomial fingerprint, away from 0 and 1:
+        # `sketch_fp_bases` of the seed, by the cheaper scalar chain
         self._r = prf(params.seed, _FP_TAG) % (FIELD_PRIME - 3) + 2
         self._rows_idx = np.arange(R)
-
-    def _buckets(self, index: int) -> np.ndarray:
-        return prf_array(self._row_seeds, index) % np.uint64(self.params.buckets_per_row)
 
     def update(self, index: int, delta: int) -> None:
         """Add `delta` to coordinate `index` of the summarized vector.
@@ -219,13 +283,11 @@ class SparseRecoverySketch:
             raise SketchError(f"index {index} out of range")
         if delta == 0:
             return
-        b = self._buckets(index)
+        b = prf_array(self._row_seeds, index) % np.uint64(self.params.buckets_per_row)
         self.counts[self._rows_idx, b] += delta
         self.id_sums[self._rows_idx, b] += delta * index
         inc = (delta % FIELD_PRIME) * pow(self._r, index, FIELD_PRIME) % FIELD_PRIME
-        self.fps[self._rows_idx, b] = (self.fps[self._rows_idx, b] + np.uint64(inc)) % np.uint64(
-            FIELD_PRIME
-        )
+        self.fps[self._rows_idx, b] = (self.fps[self._rows_idx, b] + np.uint64(inc)) % _PRIME
 
     def update_many(self, indices, deltas) -> None:
         """Apply a batch of updates in place, as a one-slot `accumulate`;
@@ -247,89 +309,22 @@ class SparseRecoverySketch:
         """Bucket-wise sum; summarizes the sum of the two net vectors."""
         if self.params != other.params:
             raise SketchError("merge requires identical params and seed")
-        return SparseRecoverySketch(
-            self.params,
-            (
-                self.counts + other.counts,
-                self.id_sums + other.id_sums,
-                (self.fps + other.fps) % _PRIME,
-            ),
-        )
+        arrays = (self.counts + other.counts, self.id_sums + other.id_sums,
+                  field_reduce(self.fps + other.fps))
+        return SparseRecoverySketch(self.params, arrays)
 
     def recover(self):
-        """Peel the net vector out of the sketch.
-
-        Returns {index: nonzero value} if the residual empties out, else None
-        (FAIL).  Recovered values are rejected outside [-1, n].
-        """
-        n = self.params.universe_size
-        counts = self.counts.copy()
-        id_sums = self.id_sums.copy()
-        fps = self.fps.copy()
-        rows_idx = self._rows_idx
-        out: dict[int, int] = {}
-        max_rounds = n + 2
-        for _ in range(max_rounds):
-            nz = counts != 0
-            if not nz.any():
-                break
-            safe = np.where(nz, counts, 1)
-            cand = id_sums // safe
-            pure = (
-                nz
-                & (id_sums == cand * counts)
-                & (cand >= 0)
-                & (cand < n)
-                & (counts >= -1)
-                & (counts <= n)
-            )
-            if not pure.any():
-                break
-            flat = np.flatnonzero(pure.ravel())
-            cand_flat = cand.ravel()[flat]
-            # one fingerprint check per distinct candidate index
-            _, first = np.unique(cand_flat, return_index=True)
-            accepted = []
-            for j in first:
-                pos = flat[j]
-                i = int(cand_flat[j])
-                v = int(counts.ravel()[pos])
-                expect = (v % FIELD_PRIME) * pow(self._r, i, FIELD_PRIME) % FIELD_PRIME
-                if int(fps.ravel()[pos]) == expect:
-                    accepted.append((i, v))
-            if not accepted:
-                break
-            idx = np.array([i for i, _ in accepted], dtype=np.uint64)
-            vals = np.array([v for _, v in accepted], dtype=np.int64)
-            # bucket of item a in row r: same mix chain as _buckets, batched
-            buckets = bucket_hash(self._row_seeds, idx, self.params.buckets_per_row).T
-            rows_mat = np.broadcast_to(rows_idx[:, None], buckets.shape)
-            np.subtract.at(counts, (rows_mat, buckets), vals[None, :])
-            np.subtract.at(id_sums, (rows_mat, buckets), (vals * idx.astype(np.int64))[None, :])
-            decs = np.array(
-                [
-                    (FIELD_PRIME - (v % FIELD_PRIME) * pow(self._r, i, FIELD_PRIME) % FIELD_PRIME)
-                    % FIELD_PRIME
-                    for i, v in accepted
-                ],
-                dtype=np.uint64,
-            )
-            # scatter-add in chunks of 7: eight 61-bit field elements could
-            # wrap uint64 when items collide in a bucket
-            for lo in range(0, len(accepted), 7):
-                hi = lo + 7
-                np.add.at(fps, (rows_mat[:, lo:hi], buckets[:, lo:hi]), decs[None, lo:hi])
-                fps %= np.uint64(FIELD_PRIME)
-            for i, v in accepted:
-                out[i] = out.get(i, 0) + v
-        if counts.any() or id_sums.any() or fps.any():
+        """{index: nonzero value} of the net vector, peeled as a block of
+        one; None (FAIL) if a residual is left or the net has more than k
+        entries.  Values outside [-1, n] are never peeled."""
+        _, index, value, fail = peel(
+            self.counts[None].copy(), self.id_sums[None].copy(), self.fps[None].copy(),
+            self._row_seeds[None], np.array([self._r], dtype=np.uint64), self.params.universe_size,
+        )
+        # k-sparse recovery: a denser net FAILs even when it peels
+        if fail[0] or index.size > self.params.sparsity_budget:
             return None
-        result = {i: v for i, v in sorted(out.items()) if v != 0}
-        # the contract is k-sparse recovery: a denser net is FAIL even when
-        # the peeling happened to unravel it
-        if len(result) > self.params.sparsity_budget:
-            return None
-        return result
+        return dict(zip(index.tolist(), value.tolist()))
 
     # -- snapshots ------------------------------------------------------------
 

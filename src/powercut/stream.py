@@ -37,6 +37,8 @@ id sums are added as int64, as `SparseRecoverySketch.update` adds them, and
 fingerprints stay reduced mod 2^61 - 1, so a sketch block matches a loop of
 scalar updates bit for bit, and the sketch of a dense row (`sketch_at`)
 equals the sketch the same updates would have built.
+Recovery reads the n slots (j_v, v): dense rows directly, sketch rows by
+`sketch.peel` in groups of at most `sketch.WINDOW_CELLS` cells.
 """
 
 from __future__ import annotations
@@ -48,7 +50,8 @@ import numpy as np
 
 from .graph import Graph
 from .prf import MASK64, leading_ones, leading_ones_array, mix64, prf, prf_array
-from .sketch import SketchParams, SparseRecoverySketch, accumulate
+from .sketch import (WINDOW_CELLS, SketchParams, SparseRecoverySketch, accumulate, peel,
+                     sketch_fp_bases, sketch_row_seeds)
 from .sparsify import SparsifierParams
 
 _LEVEL_TAG = 0x4C76
@@ -153,9 +156,9 @@ class StreamState:
     the module docstring); construction allocates no rows.  When k == n
     (`dense_slots`, decided once here and kept in `dense`), a row is the
     slot's net vector itself, one (S, n) int64 block; otherwise it is a
-    sketch, three (S, R, B) blocks.  Both give the same `serialize`,
-    `total_buckets` and, barring the sketch's random FAILs, the same
-    `recover_sparsifier`; `memory_bytes` is what the rows really hold.
+    sketch, three (S, R, B) blocks.  Both touch the same slots, FAIL or not,
+    and give the same `serialize`, `total_buckets` and, barring the sketch's
+    random FAILs, `recover_sparsifier`; `memory_bytes` is what rows hold.
     """
 
     def __init__(self, n: int, params: SparsifierParams, seed: int | None = None):
@@ -299,34 +302,33 @@ class StreamState:
         return pick_level(float(self.deg[v]), self.upsilon, self.levels)
 
     def recover_sparsifier(self) -> Graph | None:
-        """Recover the weighted sampled graph, or None on any sketch FAIL.
+        """Recover the weighted sampled graph, or None on any FAIL.
 
-        The net edge multiset of a valid stream is a simple graph, so every
-        recovered entry is 0 or 1; any other entry gives None on both paths.
-        A dense state reads the rows at levels j_v and also returns None
-        where the sketch's other deterministic rule would: more than k
-        nonzeros in a row.
+        The net edge multiset of a valid stream is a simple graph, so on
+        both paths a peel FAIL, an entry other than 1 or more than k entries
+        in a slot (the k-sparse contract) gives None.
         """
         j = vertex_levels(self.deg, self.upsilon, self.levels)
+        # touches the n slots on both paths, and may grow the block: before reading it
+        rows = self._rows(j * self.n + np.arange(self.n))
         if self.dense:
-            # touches the slots, as the sketch path's `sketch_at` does, and
-            # may grow the block: before reading it
-            rows = self._rows(j * self.n + np.arange(self.n))
             vecs = self._payload[0][rows]
-            if ((vecs < 0) | (vecs > 1)).any() or (
-                np.count_nonzero(vecs, axis=1) > self.k
-            ).any():
-                return None
             v, u = np.nonzero(vecs)
-            keys = np.unique(np.minimum(u, v) * self.n + np.maximum(u, v))
+            x, fail = vecs[v, u], False
         else:
-            keys = set()
-            for v in range(self.n):
-                neigh = self.sketch_at(int(j[v]), v).recover()
-                if neigh is None or any(x != 1 for x in neigh.values()):
-                    return None
-                keys.update(min(u, v) * self.n + max(u, v) for u in neigh)
-            keys = np.array(sorted(keys), dtype=np.int64)
+            R, group = self._payload[0].shape[1], max(1, WINDOW_CELLS // self._cells)
+            found, fail = [], False
+            for a in range(0, self.n, group):
+                g = rows[a : a + group]  # fancy indexing: the peel gets copies
+                slot, index, value, failed = peel(*(block[g] for block in self._payload),
+                                                  sketch_row_seeds(self._seeds[g], R),
+                                                  sketch_fp_bases(self._seeds[g]), self.n)
+                found.append((slot + a, index, value))
+                fail |= failed.any()
+            v, u, x = map(np.concatenate, zip(*found))
+        if fail or (x != 1).any() or (np.bincount(v, minlength=self.n) > self.k).any():
+            return None
+        keys = np.unique(np.minimum(u, v) * self.n + np.maximum(u, v))
         u, v = np.divmod(keys, self.n)
         return Graph.from_arrays(self.n, u, v, 2.0 ** np.minimum(j[u], j[v]))
 

@@ -104,25 +104,29 @@ def test_sketch_at_on_dense_state_is_a_copy():
     assert dense.sketch_at(0, 0).recover() == {1: 2, 2: -1}
 
 
-@pytest.mark.parametrize("ops", [
+@pytest.mark.parametrize("ops, isolated", [
     # an absent edge deleted twice: net entry -2 in both endpoints' slots
-    [(False, 0, 5), (False, 0, 5)],
+    ([(False, 0, 5), (False, 0, 5)], 0),
     # an edge inserted n more times: net entry n + 1
-    [(True, 2, 3)] * 8,
+    ([(True, 2, 3)] * 8, 0),
     # an absent edge deleted once: net entry -1
-    [(False, 0, 5)],
+    ([(False, 0, 5)], 0),
     # a present edge inserted again: net entry 2
-    [(True, 2, 3)],
-])
-def test_entry_outside_minus_one_to_n_fails_on_both_paths(ops):
+    ([(True, 2, 3)], 0),
+    # net entry -2 again, with an isolated vertex whose slot no update touched
+    ([(False, 0, 5), (False, 0, 5)], 1),
+], ids=[f"ops{i}" for i in range(5)])
+def test_entry_outside_minus_one_to_n_fails_on_both_paths(ops, isolated):
     G = barbell_graph(2, 4, 1)
     updates = gen_stream(G, churn=0.5, seed=2) + [StreamUpdate(*op) for op in ops]
     # Y = 4 puts every vertex at level 0, where the bad entry always is
     sp = SparsifierParams(delta=0.25, eps=0.5, upsilon_override=4.0, seed=9)
-    dense, sketched = both_states(G.n, sp)
+    dense, sketched = both_states(G.n + isolated, sp)
     for state in (dense, sketched):
         state.process_many(updates)
         assert state.recover_sparsifier() is None
+    # a FAIL touches the same slots on both paths: every vertex's slot
+    assert dense.total_buckets() == sketched.total_buckets()
 
 
 def test_more_than_k_nonzeros_fails_when_dense_rows_are_forced(monkeypatch):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from powercut import Graph, GraphError, intercluster_volume, min_conductance_bruteforce
 from powercut.graph import load_graph, load_partition, save_graph, save_partition
@@ -129,6 +131,23 @@ def test_induce_preserves_every_degree_randomized():
         C = np.sort(rng.choice(n, size=size, replace=False))
         sub = G.induce_with_loops(C)
         np.testing.assert_allclose(sub.deg, G.deg[C], rtol=1e-12)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data(), dyadic=st.booleans())
+def test_induce_with_loops_preserves_every_degree(data, dyadic):
+    # loops, parallel edges and isolated vertices included; dyadic weights
+    # sum exactly, arbitrary floats up to rounding and the dropped dust
+    n = data.draw(st.integers(1, 12))
+    ends = st.integers(0, n - 1)
+    weights = st.integers(1, 64).map(lambda k: k / 8.0) if dyadic else st.floats(1e-3, 1e3)
+    G = Graph(n, data.draw(st.lists(st.tuples(ends, ends, weights), max_size=3 * n)))
+    C = data.draw(st.lists(ends, min_size=1, unique=True))
+    sub, want = G.induce_with_loops(C), G.deg[np.sort(C)]
+    if dyadic:
+        assert np.array_equal(sub.deg, want)
+    else:
+        np.testing.assert_allclose(sub.deg, want, rtol=1e-9, atol=1e-9)
 
 
 def test_min_conductance_bruteforce_examples(k4):

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from powercut import (
     DecompParams,
@@ -23,6 +25,8 @@ from powercut import (
 from powercut.cli import main
 from powercut.experiment import ExperimentConfig, run_experiment
 from powercut.graph import load_graph, save_graph
+
+from conftest import assert_same_graph
 
 
 # -- generators -------------------------------------------------------------------
@@ -62,6 +66,46 @@ def test_planted_partition_shape():
     assert G.cut_weight(np.arange(4)) == 0.0
 
 
+def _gnp_tuples(n, p, seed):
+    rng = np.random.default_rng(seed & ((1 << 64) - 1))
+    edges = []
+    for u in range(n):
+        draws = rng.random(n - u - 1)
+        for off in np.flatnonzero(draws < p):
+            edges.append((u, u + 1 + int(off)))
+    return Graph(n, edges)
+
+
+def _barbell_tuples(c, s, bridges):
+    edges = [(b * s + i, b * s + j) for b in range(c) for i in range(s) for j in range(i + 1, s)]
+    edges += [(b * s + j, (b + 1) * s + j) for b in range(c - 1) for j in range(bridges)]
+    return Graph(c * s, edges)
+
+
+def _planted_tuples(c, s, p_in, p_out, seed):
+    n = c * s
+    rng = np.random.default_rng(seed & ((1 << 64) - 1))
+    edges = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < (p_in if u // s == v // s else p_out):
+                edges.append((u, v))
+    return Graph(n, edges)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_generators_equal_tuple_loops(seed):
+    # the array generators against the tuple-list loops they replaced
+    rng = np.random.default_rng(seed)
+    n, p, p_in, p_out = int(rng.integers(0, 30)), *rng.random(3)
+    c, s = int(rng.integers(1, 5)), int(rng.integers(1, 9))
+    bridges = int(rng.integers(0, s + 1))
+    assert_same_graph(gnp_graph(n, p, seed=seed), _gnp_tuples(n, p, seed))
+    assert_same_graph(planted_partition_graph(c, s, p_in, p_out, seed=seed),
+                      _planted_tuples(c, s, p_in, p_out, seed))
+    assert_same_graph(barbell_graph(c, s, bridges), _barbell_tuples(c, s, bridges))
+
+
 def test_gen_graph_dispatch():
     assert gen_graph("barbell", c=2, s=4, bridges=1).n == 8
     with pytest.raises(GraphError):
@@ -90,6 +134,19 @@ def test_gen_stream_well_formed_replay():
                 live.remove(key)
         want = set((u, v) for u, v, _ in G.edge_list())
         assert live == want
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(0, 14), p=st.floats(0.0, 1.0), graph_seed=st.integers(0, 10**6),
+       churn=st.floats(0.0, 3.0), seed=st.integers(0, 10**6))
+def test_gen_stream_replay_nets_exactly_to_G(n, p, graph_seed, churn, seed):
+    G = gnp_graph(n, p, seed=graph_seed)
+    net = {}
+    for upd in gen_stream(G, churn=churn, seed=seed):
+        key = (min(upd.u, upd.v), max(upd.u, upd.v))
+        net[key] = net.get(key, 0) + upd.delta
+    assert set(net.values()) <= {0, 1}
+    assert sorted(k for k, x in net.items() if x) == list(zip(G.edge_u.tolist(), G.edge_v.tolist()))
 
 
 def test_gen_stream_rejects_weighted_graphs():
@@ -223,7 +280,8 @@ def test_cli_decompose_bad_graph_exit_code(tmp_path, body):
                  "--mode", "exact", "--out", str(tmp_path / "p.txt")]) == 2
 
 
-@pytest.mark.parametrize("demo", ["01_cuts_and_volumes.py", "05_balanced_cuts.py"])
+@pytest.mark.parametrize("demo", ["01_cuts_and_volumes.py", "02_sparse_recovery_sketch.py",
+                                  "03_dynamic_stream_recovery.py", "05_balanced_cuts.py"])
 def test_enumeration_demo_runs(demo):
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from powercut import SketchParams, SparseRecoverySketch, sketch_new
 from powercut.sketch import ROW_CONSTANT, SketchError
@@ -112,6 +114,28 @@ def test_merge_behaves_as_sum_of_vectors():
                 want[i] = want.get(i, 0) + v
         want = {i: v for i, v in want.items() if v != 0}
         assert a.merge(b).recover() == want
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(2, 40), k_frac=st.floats(0.0, 1.0), seed=st.integers(0, 2**64 - 1),
+       data=st.data())
+def test_merge_recovers_the_sum_and_equals_one_sketch_fed_both(n, k_frac, seed, data):
+    sp = SketchParams(n, max(1, round(k_frac * n)), 1e-6, seed)
+    # nets in {0, 1} and {-1, 0, 1}: their sum stays recoverable, in [-1, 2]
+    va = data.draw(st.dictionaries(st.integers(0, n - 1), st.just(1), max_size=n))
+    vb = data.draw(st.dictionaries(st.integers(0, n - 1), st.sampled_from([-1, 1]), max_size=n))
+    noise = data.draw(st.lists(st.integers(0, n - 1), max_size=6))
+    ups_a = [(i, v) for i, v in va.items()] + [(i, d) for i in noise for d in (1, -1)]
+    ups_b = list(vb.items())
+    a, b, both = (sketch_new(sp) for _ in range(3))
+    for sk, ups in ((a, ups_a), (b, ups_b), (both, ups_a + ups_b)):
+        for i, d in ups:
+            sk.update(i, d)
+    merged = a.merge(b)
+    assert merged.serialize() == both.serialize()
+    net = {i: va.get(i, 0) + vb.get(i, 0) for i in sorted(set(va) | set(vb))}
+    net = {i: v for i, v in net.items() if v}
+    assert merged.recover() == (net if len(net) <= sp.sparsity_budget else None)
 
 
 def test_snapshot_roundtrip_bit_exact():
