@@ -13,6 +13,7 @@ the stream deleted half of what it inserted.
 import numpy as np
 
 from powercut import SparsifierParams, StreamState, gen_stream, gnp_graph, sample_offline
+from powercut.stream import vertex_levels
 
 G = gnp_graph(64, 0.55, seed=12)
 print(f"target graph: n=64, {G.num_edges} edges, max degree {int(G.deg.max())}")
@@ -36,6 +37,6 @@ else:
     print(f"recovered {H.num_edges} edges, weights {sorted(set(H.edge_w.tolist()))}")
     print("equals offline sampling oracle bit-exactly:",
           H.edge_list() == oracle.edge_list())
-    levels = [state.vertex_level(v) for v in range(64)]
+    levels = vertex_levels(state.deg, state.upsilon, state.levels).tolist()
     print("vertex levels in use:", sorted(set(levels)),
           "(level >= 1 means that vertex's neighborhood was subsampled)")

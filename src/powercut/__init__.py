@@ -61,7 +61,6 @@ from .sparsify import (
     SparsifierParams,
     check_cut_sparsifier,
     check_power_partition,
-    edge_probability,
     sample,
     upsilon,
 )

@@ -28,7 +28,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .graph import BRUTE_FORCE_LIMIT, REL_SLACK, Graph, GraphError, enumerate_cut_stats, mask_to_set, subset_sums
+from .graph import BRUTE_FORCE_LIMIT, REL_SLACK, Graph, GraphError, enumerate_cut_stats, mask_to_set
 
 
 class SweepNumericFailure(RuntimeError):
@@ -79,11 +79,8 @@ def exhaustive_balanced_cut(
     best_set = None
     best_phi = math.nan
     all_ids = np.arange(H.n, dtype=np.int64)
-    vol_g = subset_sums(deg_g[:-1])
-    for masks, cw, _, _ in enumerate_cut_stats(H, batch=1 << 15):
-        vol_s = vol_g[masks[0]: masks[-1] + 1]
+    for masks, cw, side_vol, vol_s in enumerate_cut_stats(H, batch=1 << 15, deg=deg_g):
         vol_rest = vol_c - vol_s
-        side_vol = np.minimum(vol_s, vol_rest)
         phi_est = np.where(side_vol > 0, cw / np.where(side_vol > 0, side_vol, 1.0), math.inf)
         good = (side_vol > 0) & (phi_est <= limit)
         if not good.any():

@@ -600,17 +600,17 @@ def decompose(source, params: DecompParams, reference_graph: Graph | None = None
     rep.memory_bytes = pools.memory_bytes()
 
     if reference is not None:
-        total = reference.total_volume
-        icv = intercluster_volume(reference, clusters)
-        rep.intercluster_volume = icv
-        rep.intercluster_fraction = icv / total if total > 0 else 0.0
-        if icv > params.eps * total * (1.0 + REL_SLACK) + 1e-12:
+        check = verify_decomposition(reference, clusters, params.eps, sched.phi_final,
+                                     params.exact_cut_limit)
+        rep.intercluster_volume = check.intercluster_volume
+        rep.intercluster_fraction = check.intercluster_fraction
+        rep.verdicts = [verdict.__dict__ for verdict in check.clusters]
+        if not check.volume_ok:
             raise DecompositionInvariantError(
-                f"intercluster volume {icv:.6g} exceeds eps*Vol = {params.eps * total:.6g}"
+                f"intercluster volume {check.intercluster_volume:.6g} exceeds "
+                f"eps*Vol = {params.eps * reference.total_volume:.6g}"
             )
-        for C in clusters:
-            verdict = _cluster_verdict(reference, C, sched.phi_final, params.exact_cut_limit)
-            rep.verdicts.append(verdict.__dict__)
+        for verdict in check.clusters:
             if verdict.exact and not verdict.passed:
                 raise DecompositionInvariantError(
                     f"final cluster of size {verdict.size} fails the "
@@ -621,13 +621,12 @@ def decompose(source, params: DecompParams, reference_graph: Graph | None = None
 
 def _cluster_verdict(G: Graph, C: np.ndarray, phi: float, exact_limit: int) -> ClusterVerdict:
     C = np.asarray(C, dtype=np.int64)
+    sub = G.induce_with_loops(C)
     if C.size <= exact_limit:
-        sub = G.induce_with_loops(C)
         min_phi, _ = min_conductance_bruteforce(sub)
         passed = min_phi >= phi * (1.0 - REL_SLACK)
         value = None if math.isinf(min_phi) else float(min_phi)
         return ClusterVerdict(int(C.size), True, value, bool(passed))
-    sub = G.induce_with_loops(C)
     out = sweep_balanced_cut(sub, sub.deg, phi, 0.0)
     if out.expander:
         return ClusterVerdict(int(C.size), False, None, True)

@@ -16,15 +16,43 @@ from .stream import StreamUpdate
 
 _STREAM_TAG = 0x5347
 
+# most vertex pairs drawn at once (whole rows, at least one): the pair
+# arrays of one block stay at a few tens of MB whatever n is
+PAIR_BLOCK = 1 << 20
+
+
+def _draw_pairs(n: int, seed: int, prob) -> Graph:
+    """Unweighted graph keeping each pair u < v with one uniform draw below
+    `prob(u, v)` (pair arrays in, probabilities out), row by row.
+
+    Pairs are drawn in row-major blocks of whole rows; consecutive
+    `Generator.random` calls return the doubles of one call, so the blocks
+    draw what one pass over `np.triu_indices(n, 1)` would.
+    """
+    rng = np.random.default_rng(seed & ((1 << 64) - 1))
+    sizes = np.arange(n - 1, 0, -1, dtype=np.int64)  # pairs in row u
+    ends = np.cumsum(sizes)
+    kept, a = [(np.zeros(0, dtype=np.int64),) * 2], 0
+    while a < n - 1:
+        before = int(ends[a - 1]) if a else 0
+        b = max(a + 1, int(np.searchsorted(ends, before + PAIR_BLOCK, side="right")))
+        u = np.repeat(np.arange(a, b, dtype=np.int64), sizes[a:b])
+        # v = u + 1 + the pair's place in its row
+        v = np.arange(1, u.size + 1, dtype=np.int64)
+        v -= np.repeat(ends[a:b] - sizes[a:b] - before, sizes[a:b])
+        v += u
+        keep = rng.random(u.size) < prob(u, v)
+        kept.append((u[keep], v[keep]))
+        a = b
+    u, v = map(np.concatenate, zip(*kept))
+    return Graph.from_arrays(n, u, v, np.ones(u.size))
+
 
 def gnp_graph(n: int, p: float, seed: int = 0) -> Graph:
     """Erdos-Renyi G(n, p): one uniform draw per pair u < v, row by row."""
     if not (0.0 <= p <= 1.0):
         raise GraphError("need p in [0, 1]")
-    rng = np.random.default_rng(seed & ((1 << 64) - 1))
-    u, v = np.triu_indices(n, 1)
-    keep = rng.random(u.size) < p
-    return Graph.from_arrays(n, u[keep], v[keep], np.ones(int(keep.sum())))
+    return _draw_pairs(n, seed, lambda u, v: p)
 
 
 def random_regular_graph(n: int, d: int, seed: int = 0, max_restarts: int = 200) -> Graph:
@@ -95,11 +123,7 @@ def barbell_graph(c: int, s: int, bridges: int) -> Graph:
 def planted_partition_graph(c: int, s: int, p_in: float, p_out: float, seed: int = 0) -> Graph:
     """c clusters of size s; edge probability p_in within, p_out across,
     one uniform draw per pair u < v, row by row."""
-    n = c * s
-    rng = np.random.default_rng(seed & ((1 << 64) - 1))
-    u, v = np.triu_indices(n, 1)
-    keep = rng.random(u.size) < np.where(u // s == v // s, p_in, p_out)
-    return Graph.from_arrays(n, u[keep], v[keep], np.ones(int(keep.sum())))
+    return _draw_pairs(c * s, seed, lambda u, v: np.where(u // s == v // s, p_in, p_out))
 
 
 def gen_graph(model: str, seed: int = 0, **kw) -> Graph:

@@ -241,21 +241,26 @@ def _cut_weight_table(G: Graph) -> np.ndarray:
     return np.maximum(table, 0.0, out=table)
 
 
-def enumerate_cut_stats(G: Graph, batch: int = 1 << 16):
+def enumerate_cut_stats(G: Graph, batch: int = 1 << 16, deg: np.ndarray | None = None):
     """Yield (masks, cut_weights, vol_small, vol_s) over all unordered cuts.
 
     Each cut appears once, as the side S that excludes vertex n-1; mask bit v
-    set means v in S.  vol_small is min(Vol(S), Vol(complement)).  Batches
-    are slices of whole-range cut-weight and volume tables, in mask order.
+    set means v in S.  Cut weights are G's.  Volumes sum `deg`, G's own
+    degrees by default or any other n-vector, such as the original-graph
+    degrees of a sparsified cluster: vol_s is Vol(S) and vol_small is
+    min(Vol(S), Vol(complement)), with the total taken as `float(deg.sum())`.
+    Batches are slices of whole-range cut-weight and volume tables, in mask
+    order.
     """
     n = G.n
     if n > BRUTE_FORCE_LIMIT:
         raise GraphError(f"too large for 2^n enumeration: n={n} > {BRUTE_FORCE_LIMIT}")
     if n < 2:
         return
-    total = G.total_volume
+    deg = G.deg if deg is None else np.asarray(deg, dtype=np.float64)
+    total = float(deg.sum())
     cw = _cut_weight_table(G)
-    vol = subset_sums(G.deg[: n - 1])
+    vol = subset_sums(deg[: n - 1])
     for start in range(1, cw.size, batch):
         stop = min(start + batch, cw.size)
         vol_s = vol[start:stop]

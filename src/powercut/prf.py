@@ -70,19 +70,8 @@ def prf_array(state: np.ndarray, *words) -> np.ndarray:
     return h
 
 
-def leading_ones(x: int, width: int = 64) -> int:
-    """Number of leading 1-bits in the `width`-bit word `x`."""
-    count = 0
-    for shift in range(width - 1, -1, -1):
-        if (x >> shift) & 1:
-            count += 1
-        else:
-            break
-    return count
-
-
 def leading_ones_array(x: np.ndarray) -> np.ndarray:
-    """Vectorized `leading_ones` of 64-bit words, as int64.
+    """Number of leading 1-bits of each 64-bit word, as int64.
 
     Leading ones of x are leading zeros of ~x, counted by a binary search
     over the top 32, 16, ..., 1 bits; ~x == 0 (x all ones) gives 64.

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .prf import MASK64, mix64_array, prf, prf_array
+from .prf import MASK64, mix64, mix64_array, prf, prf_array
 
 FIELD_PRIME = (1 << 61) - 1
 
@@ -80,12 +80,18 @@ def sketch_fp_bases(seeds: np.ndarray) -> np.ndarray:
     return prf_array(mix64_array(seeds), _FP_TAG) % np.uint64(FIELD_PRIME - 3) + np.uint64(2)
 
 
-def bucket_hash(row_seeds: np.ndarray, index: np.ndarray, buckets: int) -> np.ndarray:
-    """Bucket of every index in every hash row: (..., R) row seeds and (...)
-    indices give (..., R) buckets, `prf(row_seed, index) % buckets`."""
-    return mix64_array(row_seeds ^ mix64_array(index.astype(np.uint64))[..., None]) % np.uint64(
-        buckets
-    )
+def bucket_hash(row_seeds: np.ndarray, index, buckets: int) -> np.ndarray:
+    """Bucket of every index in every hash row, `prf(row_seed, index) %
+    buckets`: (..., R) row seeds and (...) indices give (..., R) buckets.
+
+    `index` is an int array, or one Python int, as `update` passes it; the
+    int is mixed by the scalar `mix64`, which costs less than a numpy call.
+    """
+    if isinstance(index, int):
+        mixed = np.uint64(mix64(index))
+    else:
+        mixed = mix64_array(index.astype(np.uint64))[..., None]
+    return mix64_array(row_seeds ^ mixed) % np.uint64(buckets)
 
 
 def field_reduce(x: np.ndarray) -> np.ndarray:
@@ -283,7 +289,7 @@ class SparseRecoverySketch:
             raise SketchError(f"index {index} out of range")
         if delta == 0:
             return
-        b = prf_array(self._row_seeds, index) % np.uint64(self.params.buckets_per_row)
+        b = bucket_hash(self._row_seeds, index, self.params.buckets_per_row)
         self.counts[self._rows_idx, b] += delta
         self.id_sums[self._rows_idx, b] += delta * index
         inc = (delta % FIELD_PRIME) * pow(self._r, index, FIELD_PRIME) % FIELD_PRIME
@@ -337,17 +343,26 @@ class SparseRecoverySketch:
 
     @classmethod
     def deserialize(cls, blob: bytes) -> "SparseRecoverySketch":
+        """Inverse of `serialize`; raises SketchError unless `blob` is exactly
+        a header and its three bucket arrays with reduced fingerprints."""
+        off = struct.calcsize("<qqdqQ")
+        if len(blob) < off:
+            raise SketchError(f"snapshot of {len(blob)} bytes is shorter than its header")
         n, k, p, rows, seed = struct.unpack_from("<qqdqQ", blob, 0)
         params = SketchParams(n, k, p, seed)
         if rows != params.rows:
             raise SketchError("row count mismatch in snapshot header")
         R, B = params.rows, params.buckets_per_row
-        off = struct.calcsize("<qqdqQ")
         cells = R * B
+        if len(blob) != off + 3 * cells * 8:
+            raise SketchError(
+                f"snapshot has {len(blob)} bytes, its header implies {off + 3 * cells * 8}")
         arrays = []
         for dtype in (np.int64, np.int64, np.uint64):
             arrays.append(np.frombuffer(blob, dtype=dtype, count=cells, offset=off).reshape(R, B).copy())
             off += cells * 8
+        if (arrays[2] >= _PRIME).any():
+            raise SketchError("snapshot fingerprint outside the field mod 2^61 - 1")
         return cls(params, tuple(arrays))
 
 

@@ -63,13 +63,6 @@ class SparsifierParams:
         return self.upsilon_scale * upsilon(max(n, 2), self.eps, self.delta, self.fail_exponent)
 
 
-def edge_probability(deg_u: float, deg_v: float, ups: float) -> float:
-    """Keep probability min(1, Y*(1/deg_u + 1/deg_v)); degrees must be positive."""
-    if deg_u <= 0 or deg_v <= 0:
-        raise GraphError("edge incident to zero-degree vertex")
-    return min(1.0, ups * (1.0 / deg_u + 1.0 / deg_v))
-
-
 def edge_probabilities(G: Graph, ups: float) -> np.ndarray:
     if G.num_edges == 0:
         return np.zeros(0)

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph
-from .prf import MASK64, leading_ones, leading_ones_array, mix64, prf, prf_array
+from .prf import MASK64, leading_ones_array, mix64, prf, prf_array
 from .sketch import (WINDOW_CELLS, SketchParams, SparseRecoverySketch, accumulate, peel,
                      sketch_fp_bases, sketch_row_seeds)
 from .sparsify import SparsifierParams
@@ -83,19 +83,15 @@ class StreamUpdate:
 
 def update_arrays(updates) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(u, v, delta) int64 arrays of a sequence of `StreamUpdate`s."""
-    rows = [(upd.u, upd.v, 1 if upd.insert else -1) for upd in updates]
+    rows = [(upd.u, upd.v, upd.delta) for upd in updates]
     u, v, d = np.array(rows, dtype=np.int64).reshape(-1, 3).T.copy()
     return u, v, d
 
 
-def pair_level(level_seed: int, u: int, v: int) -> int:
-    """Geometric sampling level of the unordered pair {u, v}."""
-    lo, hi = (u, v) if u < v else (v, u)
-    return leading_ones(prf(level_seed, lo, hi))
-
-
 def pair_levels(level_seed: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """`pair_level` of every pair {u[t], v[t]}, vectorized."""
+    """Geometric sampling level of every unordered pair {u[t], v[t]}: the
+    leading ones of `prf(level_seed, min(u, v), max(u, v))`; symmetric in
+    the endpoints, so the pair belongs to level graph i iff it is >= i."""
     u = np.asarray(u, dtype=np.int64)
     v = np.asarray(v, dtype=np.int64)
     start = np.uint64(mix64(level_seed & MASK64))
@@ -224,31 +220,24 @@ class StreamState:
         self._payload = tuple(map(grown, self._payload))
 
     def sketch_at(self, level: int, v: int) -> SparseRecoverySketch:
-        """The sketch of slot (level, v); touches the slot.
+        """A copy of the sketch of slot (level, v); touches the slot.
 
-        On a sketch state it works on the slot's block rows, sharing memory
-        with the block until the block next grows, which only a newly
-        touched slot can cause.  On a dense state it is a fresh sketch built
-        by `update_many` from the slot's nonzeros: by linearity the same
-        sketch, but writes to it do not reach the state.
+        On a sketch state it copies the slot's block rows; on a dense state
+        it builds the sketch by `update_many` from the slot's nonzeros, by
+        linearity the same sketch.  Either way, writes to it do not reach
+        the state.
         """
         if not (0 <= level <= self.levels and 0 <= v < self.n):
             raise StreamError(f"no sketch slot ({level}, {v})")
         row = int(self._rows(np.array([level * self.n + v]))[0])
         sp = self._sketch_params(int(self._seeds[row]))
         if not self.dense:
-            return SparseRecoverySketch(sp, tuple(a[row] for a in self._payload))
+            return SparseRecoverySketch(sp, tuple(a[row].copy() for a in self._payload))
         vec = self._payload[0][row]
         sk = SparseRecoverySketch(sp)
         idx = np.flatnonzero(vec)
         sk.update_many(idx, vec[idx])
         return sk
-
-    def edge_level(self, u: int, v: int) -> int:
-        """Deterministic level of {u, v}; symmetric in its endpoints."""
-        if u == v:
-            raise StreamError("self-loops have no level")
-        return pair_level(self._level_seed, u, v)
 
     def process(self, upd: StreamUpdate) -> None:
         """Apply one insert/delete: a batch of one."""
@@ -297,9 +286,6 @@ class StreamState:
             np.add.at(self._payload[0].reshape(-1), rows * self.n + index, d)
         else:
             accumulate(*self._payload, self._seeds, rows, index, d, self.n)
-
-    def vertex_level(self, v: int) -> int:
-        return pick_level(float(self.deg[v]), self.upsilon, self.levels)
 
     def recover_sparsifier(self) -> Graph | None:
         """Recover the weighted sampled graph, or None on any FAIL.

@@ -5,6 +5,7 @@ import pytest
 
 from powercut import (
     DecompParams,
+    DecompositionInvariantError,
     Graph,
     GraphError,
     PoolExhausted,
@@ -247,6 +248,53 @@ def test_verify_detects_nonexpander_cluster():
     assert not rep.ok
     assert rep.volume_ok
     assert rep.clusters[0].min_conductance == 0.0
+
+
+# -- decompose's end-of-run checks -------------------------------------------------
+
+
+def decompose_into(monkeypatch, G, clusters, params):
+    """`decompose` with phase one replaced by a fixed partition of G."""
+    monkeypatch.setattr(Decomposer, "low_depth_decomposition",
+                        lambda self, C, depth: [np.asarray(c, dtype=np.int64) for c in clusters])
+    return decompose(G, params)
+
+
+def test_decompose_raises_past_intercluster_budget(monkeypatch):
+    params = DecompParams(eps=0.3, quality_k=2, seed=1)
+    with pytest.raises(DecompositionInvariantError) as err:
+        decompose_into(monkeypatch, complete_graph(8), [[v] for v in range(8)], params)
+    assert str(err.value) == "intercluster volume 56 exceeds eps*Vol = 16.8"
+
+
+def test_decompose_raises_on_disconnected_exact_cluster(monkeypatch):
+    two = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    params = DecompParams(eps=0.3, quality_k=2, seed=1)
+    phi = make_schedule(params, 6).phi_final
+    with pytest.raises(DecompositionInvariantError) as err:
+        decompose_into(monkeypatch, two, [range(6)], params)
+    assert str(err.value) == f"final cluster of size 6 fails the {phi:.6g}-expander check"
+
+
+@pytest.mark.parametrize("run", ["exact", "fast", "stream"])
+def test_report_checks_equal_verify_decomposition(run):
+    if run == "stream":
+        G = barbell_graph(2, 4, 1)
+        params = DecompParams(eps=0.3, quality_k=2, seed=42)
+        pools = SparsifierPools(G.n, params, spares=1)
+        pools.feed_many(gen_stream(G, churn=0.5, seed=1))
+        clusters, rep = decompose(pools, params, reference_graph=G)
+    else:
+        # fast: two 30-vertex blocks, above the exact limit, get sweep verdicts
+        G = (planted_partition_graph(3, 6, 0.8, 0.05, seed=1) if run == "exact"
+             else planted_partition_graph(2, 30, 0.6, 0.005, seed=3))
+        params = DecompParams(eps=0.3, quality_k=2, mode=run, seed=5)
+        clusters, rep = decompose(G, params)
+    check = verify_decomposition(G, clusters, params.eps, rep.phi_final, params.exact_cut_limit)
+    assert rep.verdicts == [v.__dict__ for v in check.clusters]
+    assert rep.intercluster_volume == check.intercluster_volume
+    assert rep.intercluster_fraction == check.intercluster_fraction
+    assert any(not v["exact"] for v in rep.verdicts) == (run == "fast")
 
 
 # -- streaming mode ----------------------------------------------------------------

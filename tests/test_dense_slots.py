@@ -91,17 +91,19 @@ def test_dense_state_equals_sketch_state(stream, seed, ups_frac):
     assert dense.total_buckets() == sketched.total_buckets() == dense.bucket_budget()
 
 
-def test_sketch_at_on_dense_state_is_a_copy():
+@pytest.mark.parametrize("path", ["dense", "sketch"])
+def test_sketch_at_is_a_copy(path):
     sp = SparsifierParams(delta=0.25, eps=0.5, upsilon_override=2.0, seed=4)
     dense, sketched = both_states(6, sp)
     updates = [StreamUpdate(True, 0, 1), StreamUpdate(True, 0, 1), StreamUpdate(False, 0, 2)]
     for state in (dense, sketched):
         state.process_many(updates)
-    sk = dense.sketch_at(0, 0)
-    assert sk.serialize() == sketched.sketch_at(0, 0).serialize()
+    state, other = (dense, sketched) if path == "dense" else (sketched, dense)
+    sk = state.sketch_at(0, 0)
+    assert sk.serialize() == other.sketch_at(0, 0).serialize()
     assert sk.recover() == {1: 2, 2: -1}
     sk.update(3, 1)
-    assert dense.sketch_at(0, 0).recover() == {1: 2, 2: -1}
+    assert state.sketch_at(0, 0).recover() == {1: 2, 2: -1}
 
 
 @pytest.mark.parametrize("ops, isolated", [

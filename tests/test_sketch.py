@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from powercut import SketchParams, SparseRecoverySketch, sketch_new
-from powercut.sketch import ROW_CONSTANT, SketchError
+from powercut.sketch import FIELD_PRIME, ROW_CONSTANT, SketchError
 
 
 def params(n=8, k=2, p=0.01, seed=1):
@@ -146,6 +146,37 @@ def test_snapshot_roundtrip_bit_exact():
     t = SparseRecoverySketch.deserialize(blob)
     assert t.serialize() == blob
     assert t.recover() == s.recover()
+
+
+def snapshot(**kw):
+    s = sketch_new(params(**kw))
+    s.update(3, 1)
+    return s
+
+
+def test_snapshot_rejects_short_header():
+    with pytest.raises(SketchError):
+        SparseRecoverySketch.deserialize(snapshot().serialize()[:39])
+
+
+def test_snapshot_rejects_truncated_body():
+    with pytest.raises(SketchError):
+        SparseRecoverySketch.deserialize(snapshot().serialize()[:-1])
+
+
+def test_snapshot_rejects_trailing_bytes():
+    blob = snapshot().serialize()
+    assert SparseRecoverySketch.deserialize(blob).recover() == {3: 1}
+    with pytest.raises(SketchError):
+        SparseRecoverySketch.deserialize(blob + b"garbage!")
+
+
+@pytest.mark.parametrize("fp", [FIELD_PRIME, FIELD_PRIME + 1, (1 << 64) - 1])
+def test_snapshot_rejects_unreduced_fingerprint(fp):
+    s = snapshot()
+    s.fps[-1, -1] = fp
+    with pytest.raises(SketchError):
+        SparseRecoverySketch.deserialize(s.serialize())
 
 
 def test_linearity_exact_under_cancellation_noise():

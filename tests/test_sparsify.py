@@ -11,7 +11,6 @@ from powercut import (
     SparsifierParams,
     check_cut_sparsifier,
     check_power_partition,
-    edge_probability,
     random_regular_graph,
     sample,
     upsilon,
@@ -38,11 +37,14 @@ def test_upsilon_requires_two_vertices():
 
 
 def test_edge_probability_cases():
-    assert edge_probability(10, 10, 5.0) == 1.0  # Y >= d/2 clamps to 1
-    assert edge_probability(40, 40, 10.0) == pytest.approx(0.5)  # both at 4Y
-    assert edge_probability(20, 10**9, 10.0) >= 0.5  # one-sided term
-    with pytest.raises(GraphError):
-        edge_probability(0, 5, 1.0)
+    # weighted degrees: one edge of weight d gives both endpoints degree d
+    clamped = edge_probabilities(Graph(2, [(0, 1, 10.0)]), 5.0)
+    assert clamped.tolist() == [1.0]  # Y >= d/2 clamps to 1
+    both_at_4y = edge_probabilities(Graph(2, [(0, 1, 40.0)]), 10.0)
+    assert both_at_4y.tolist() == [pytest.approx(0.5)]
+    # vertex 1 has degree 10^9 through a heavy second edge: the one-sided term
+    one_sided = edge_probabilities(Graph(3, [(0, 1, 20.0), (1, 2, 10.0**9 - 20.0)]), 10.0)
+    assert one_sided[0] >= 0.5
 
 
 def test_sample_identity_when_all_probabilities_clamp(k4):

@@ -12,7 +12,15 @@ from powercut import (
     gnp_graph,
     sample_offline,
 )
-from powercut.stream import StreamError, load_stream, pick_level, save_stream
+from powercut.prf import prf
+from powercut.stream import (
+    _LEVEL_TAG,
+    StreamError,
+    load_stream,
+    pair_levels,
+    pick_level,
+    save_stream,
+)
 
 from conftest import complete_graph
 
@@ -29,30 +37,23 @@ def test_stream_update_rejects_loops():
 
 
 def test_edge_level_symmetric_and_deterministic():
-    st = StreamState(16, small_params())
-    st2 = StreamState(16, small_params())
-    for u in range(16):
-        for v in range(u + 1, 16):
-            assert st.edge_level(u, v) == st.edge_level(v, u)
-            assert st.edge_level(u, v) == st2.edge_level(u, v)
+    level_seed = prf(small_params().seed, _LEVEL_TAG)
+    u, v = np.triu_indices(16, 1)
+    levels = pair_levels(level_seed, u, v)
+    assert np.array_equal(levels, pair_levels(level_seed, v, u))
+    assert np.array_equal(levels, pair_levels(prf(small_params().seed, _LEVEL_TAG), u, v))
 
 
 def test_edge_level_fraction_matches_geometric_law():
     # over many random pairs the fraction at level >= i stays within 3 sigma
     # of 2^-i; pairs drawn from a large universe so levels are independent-ish
-    st = StreamState(4096, small_params(seed=77))
     rng = np.random.default_rng(5)
     trials = 10**6
     us = rng.integers(0, 4096, size=trials)
     vs = rng.integers(0, 4096, size=trials)
-    levels = np.empty(trials, dtype=np.int64)
-    n_valid = 0
-    for u, v in zip(us.tolist(), vs.tolist()):
-        if u == v:
-            continue
-        levels[n_valid] = st.edge_level(u, v)
-        n_valid += 1
-    levels = levels[:n_valid]
+    pair = us != vs
+    levels = pair_levels(prf(small_params(seed=77).seed, _LEVEL_TAG), us[pair], vs[pair])
+    n_valid = levels.size
     for i in range(1, 11):
         p = 2.0 ** (-i)
         got = float((levels >= i).sum())

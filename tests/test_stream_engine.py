@@ -28,13 +28,12 @@ from powercut import (
 )
 from powercut import sketch as sketch_mod
 from powercut import stream as stream_mod
-from powercut.prf import leading_ones, leading_ones_array, prf
+from powercut.prf import MASK64, leading_ones_array, prf
 from powercut.sketch import SketchError
 from powercut.stream import (
     _LEVEL_TAG,
     _SKETCH_TAG,
     StreamError,
-    pair_level,
     pair_levels,
     pick_level,
     vertex_levels,
@@ -43,6 +42,16 @@ from powercut.stream import (
 from conftest import assert_same_graph
 
 FAST = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+def leading_ones(x):
+    """Oracle: leading 1-bits of a 64-bit word, from Python's `bit_length`."""
+    return 64 - (~x & MASK64).bit_length()
+
+
+def pair_level(level_seed, u, v):
+    """Oracle of the level rule: leading ones of the scalar `prf` word."""
+    return leading_ones(prf(level_seed, min(u, v), max(u, v)))
 
 
 def params(**kw):
@@ -235,9 +244,9 @@ def test_each_slot_matches_scalar_reference(stream, seed):
     sp = params(seed=seed)
     state = StreamState(G.n, sp)
     state.process_many(updates)
-    refs = {}
+    refs, level_seed = {}, prf(sp.seed, _LEVEL_TAG)
     for upd in updates:
-        for i in range(min(state.edge_level(upd.u, upd.v), state.levels) + 1):
+        for i in range(min(pair_level(level_seed, upd.u, upd.v), state.levels) + 1):
             for vtx, idx in ((upd.u, upd.v), (upd.v, upd.u)):
                 ref = refs.get((i, vtx))
                 if ref is None:
@@ -356,9 +365,9 @@ def test_each_slot_matches_scalar_reference_on_sketch_path(stream, seed):
     state = StreamState(G.n, sp)
     assert not state.dense
     state.process_many(updates)
-    refs = {}
+    refs, level_seed = {}, prf(sp.seed, _LEVEL_TAG)
     for upd in updates:
-        for i in range(min(state.edge_level(upd.u, upd.v), state.levels) + 1):
+        for i in range(min(pair_level(level_seed, upd.u, upd.v), state.levels) + 1):
             for vtx, idx in ((upd.u, upd.v), (upd.v, upd.u)):
                 if (i, vtx) not in refs:
                     seed_iv = prf(sp.seed, _SKETCH_TAG, i, vtx)
