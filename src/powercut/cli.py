@@ -54,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--p", type=float)
     g.add_argument("--c", type=int)
     g.add_argument("--s", type=int)
-    g.add_argument("--bridges", type=int, default=1)
+    g.add_argument("--bridges", type=int)
     g.add_argument("--p-in", type=float)
     g.add_argument("--p-out", type=float)
     g.add_argument("--seed", type=int, default=0)

@@ -79,7 +79,7 @@ def exhaustive_balanced_cut(
     best_set = None
     best_phi = math.nan
     all_ids = np.arange(H.n, dtype=np.int64)
-    for masks, cw, side_vol, vol_s in enumerate_cut_stats(H, batch=1 << 15, deg=deg_g):
+    for masks, cw, side_vol, vol_s in enumerate_cut_stats(H, deg=deg_g):
         vol_rest = vol_c - vol_s
         phi_est = np.where(side_vol > 0, cw / np.where(side_vol > 0, side_vol, 1.0), math.inf)
         good = (side_vol > 0) & (phi_est <= limit)

@@ -77,44 +77,28 @@ class DecompositionInvariantError(RuntimeError):
 
 @dataclass(frozen=True)
 class DecompParams:
-    """Knobs of the decomposition; alpha/b default per mode when left None."""
+    """What a decomposition run is given: the intercluster budget eps, the
+    trade-off integer k (`quality_k`), the sparsifier's delta, the cut
+    procedure (`mode`), the master seed, and the oversampling knobs passed
+    to every slot's `SparsifierParams`.  `make_schedule` derives the rest."""
 
     eps: float
     quality_k: int
     delta: float = 1.0 / 16.0
-    fail_exponent: float = 1.0
-    alpha: float | None = None
-    b: float | None = None
-    o_vol: float | None = None
     mode: str = EXACT_MODE
     seed: int = 0
     upsilon_scale: float = 1.0
     upsilon_override: float | None = None
-    exact_cut_limit: int = BRUTE_FORCE_LIMIT
 
     def __post_init__(self):
         if not (0.0 < self.eps < 1.0):
             raise GraphError("need eps in (0, 1)")
         if not (0.0 < self.delta <= 1.0 / 16.0):
             raise GraphError("need delta in (0, 1/16]")
-        if self.quality_k < 1:
-            raise GraphError("need quality parameter k >= 1")
+        if not isinstance(self.quality_k, int) or self.quality_k < 1:
+            raise GraphError(f"need an integer quality_k >= 1, got {self.quality_k!r}")
         if self.mode not in (EXACT_MODE, FAST_MODE):
             raise GraphError(f"unknown mode {self.mode!r}")
-        if self.o_vol is not None and self.o_vol < 2:
-            raise GraphError("volume upper bound must be at least 2")
-
-    @property
-    def resolved_alpha(self) -> float:
-        if self.alpha is not None:
-            return self.alpha
-        return 1.0 + 5.0 * self.delta
-
-    @property
-    def resolved_b(self) -> float:
-        if self.b is not None:
-            return self.b
-        return 1.0 if self.mode == EXACT_MODE else 0.5
 
 
 @dataclass(frozen=True)
@@ -170,14 +154,17 @@ class Schedule:
 
 
 def make_schedule(params: DecompParams, n: int) -> Schedule:
-    o_vol = params.o_vol if params.o_vol is not None else float(max(n, 2)) ** 2
+    """The schedule of a run over n vertices.  alpha = 1 + 5*delta is the
+    sparsity factor of the exhaustive cut; b is the balance the mode's cut
+    procedure guarantees (1 for the exhaustive cut, 1/2 for the sweep); a
+    simple graph on n vertices has volume below o_vol = max(n, 2)^2."""
     return Schedule(
         eps=params.eps,
         quality_k=params.quality_k,
-        alpha=params.resolved_alpha,
-        b=params.resolved_b,
+        alpha=1.0 + 5.0 * params.delta,
+        b=1.0 if params.mode == EXACT_MODE else 0.5,
         delta=params.delta,
-        o_vol=float(max(o_vol, 4.0)),
+        o_vol=float(max(n, 2)) ** 2,
     )
 
 
@@ -264,7 +251,6 @@ class SparsifierPools:
         return SparsifierParams(
             delta=p.delta,
             eps=self.sched.psi(_slot_level(key)),
-            fail_exponent=p.fail_exponent,
             upsilon_scale=p.upsilon_scale,
             upsilon_override=p.upsilon_override,
             seed=prf(p.seed, _SLOT_TAGS[key[0]], *key[1:]),
@@ -436,7 +422,7 @@ class Decomposer:
         exact or sweep sparsity bound in the reference graph."""
         H_c = H.induce_with_loops(C)
         deg_local = self.deg[C]
-        use_exact = self.params.mode == EXACT_MODE and C.size <= self.params.exact_cut_limit
+        use_exact = self.params.mode == EXACT_MODE and C.size <= BRUTE_FORCE_LIMIT
         if use_exact:
             out = exhaustive_balanced_cut(H_c, deg_local, phi, self.params.delta)
         else:
@@ -445,7 +431,7 @@ class Decomposer:
             try:
                 out = sweep_balanced_cut(H_c, deg_local, phi, self.params.delta)
             except SweepNumericFailure:
-                if C.size <= self.params.exact_cut_limit:
+                if C.size <= BRUTE_FORCE_LIMIT:
                     out = exhaustive_balanced_cut(H_c, deg_local, phi, self.params.delta)
                 else:
                     raise
@@ -600,8 +586,7 @@ def decompose(source, params: DecompParams, reference_graph: Graph | None = None
     rep.memory_bytes = pools.memory_bytes()
 
     if reference is not None:
-        check = verify_decomposition(reference, clusters, params.eps, sched.phi_final,
-                                     params.exact_cut_limit)
+        check = verify_decomposition(reference, clusters, params.eps, sched.phi_final)
         rep.intercluster_volume = check.intercluster_volume
         rep.intercluster_fraction = check.intercluster_fraction
         rep.verdicts = [verdict.__dict__ for verdict in check.clusters]

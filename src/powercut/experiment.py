@@ -13,7 +13,7 @@ import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .decompose import (
     DecompParams,
@@ -57,7 +57,22 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
-        return cls(**json.loads(text))
+        data = json.loads(text)
+        _check_keys(data, [f.name for f in fields(cls)], ("generator", "decomp"), "config")
+        return cls(**data)
+
+
+def _check_keys(section, known, required, where: str) -> None:
+    """Raise ValueError unless `section` is a JSON object whose keys are all
+    `known` and include every `required` one."""
+    if not isinstance(section, dict):
+        raise ValueError(f"{where} must be a JSON object, got {section!r}")
+    unknown = [key for key in section if key not in known]
+    if unknown:
+        raise ValueError(f"unknown {where} key {unknown[0]!r}")
+    missing = [key for key in required if key not in section]
+    if missing:
+        raise ValueError(f"{where} lacks the key {missing[0]!r}")
 
 
 @dataclass
@@ -75,6 +90,11 @@ def _worker_count() -> int:
 
 
 def run_trial(config: ExperimentConfig, trial: int) -> TrialResult:
+    # the trial derives the decomposition seed itself
+    _check_keys(config.decomp, [f.name for f in fields(DecompParams) if f.name != "seed"],
+               ("eps", "quality_k"), "decomp")
+    if config.stream is not None:
+        _check_keys(config.stream, ("churn", "spares"), (), "stream")
     trial_seed = prf(config.seed, _TRIAL_TAG, trial) & ((1 << 62) - 1)
     gen = dict(config.generator)
     model = gen.pop("model")

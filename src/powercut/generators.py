@@ -16,6 +16,9 @@ from .stream import StreamUpdate
 
 _STREAM_TAG = 0x5347
 
+# full reshuffles of the configuration model before it gives up
+REGULAR_RESTARTS = 200
+
 # most vertex pairs drawn at once (whole rows, at least one): the pair
 # arrays of one block stay at a few tens of MB whatever n is
 PAIR_BLOCK = 1 << 20
@@ -55,7 +58,7 @@ def gnp_graph(n: int, p: float, seed: int = 0) -> Graph:
     return _draw_pairs(n, seed, lambda u, v: p)
 
 
-def random_regular_graph(n: int, d: int, seed: int = 0, max_restarts: int = 200) -> Graph:
+def random_regular_graph(n: int, d: int, seed: int = 0) -> Graph:
     """Configuration model: pair stubs, keep simple pairs, re-shuffle the rest.
 
     Loops and multi-edges are rejected pair-by-pair and their stubs go back
@@ -98,11 +101,11 @@ def random_regular_graph(n: int, d: int, seed: int = 0, max_restarts: int = 200)
             stubs = [node for node, c in counts.items() for _ in range(c)]
         return edges
 
-    for _ in range(max_restarts):
+    for _ in range(REGULAR_RESTARTS):
         edges = attempt()
         if edges is not None:
             return Graph(n, sorted(edges))
-    raise GraphError(f"configuration model failed after {max_restarts} restarts")
+    raise GraphError(f"configuration model failed after {REGULAR_RESTARTS} restarts")
 
 
 def barbell_graph(c: int, s: int, bridges: int) -> Graph:
@@ -126,16 +129,30 @@ def planted_partition_graph(c: int, s: int, p_in: float, p_out: float, seed: int
     return _draw_pairs(c * s, seed, lambda u, v: np.where(u // s == v // s, p_in, p_out))
 
 
+# the keyword arguments each graph model reads
+MODEL_KEYS = {
+    "regular": ("n", "d"),
+    "gnp": ("n", "p"),
+    "barbell": ("c", "s", "bridges"),
+    "planted": ("c", "s", "p_in", "p_out"),
+}
+
+
 def gen_graph(model: str, seed: int = 0, **kw) -> Graph:
+    """Graph of `model` (a key of `MODEL_KEYS`) from the keywords it reads;
+    any other keyword raises, so a misspelt one is never ignored."""
+    if model not in MODEL_KEYS:
+        raise GraphError(f"unknown graph model {model!r}")
+    unknown = sorted(set(kw) - set(MODEL_KEYS[model]))
+    if unknown:
+        raise GraphError(f"graph model {model!r} takes no {unknown[0]!r}")
     if model == "regular":
         return random_regular_graph(kw["n"], kw["d"], seed)
     if model == "gnp":
         return gnp_graph(kw["n"], kw["p"], seed)
     if model == "barbell":
         return barbell_graph(kw["c"], kw["s"], kw.get("bridges", 1))
-    if model == "planted":
-        return planted_partition_graph(kw["c"], kw["s"], kw["p_in"], kw["p_out"], seed)
-    raise GraphError(f"unknown graph model {model!r}")
+    return planted_partition_graph(kw["c"], kw["s"], kw["p_in"], kw["p_out"], seed)
 
 
 def gen_stream(G: Graph, churn: float, seed: int = 0) -> list[StreamUpdate]:

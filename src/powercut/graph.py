@@ -241,7 +241,7 @@ def _cut_weight_table(G: Graph) -> np.ndarray:
     return np.maximum(table, 0.0, out=table)
 
 
-def enumerate_cut_stats(G: Graph, batch: int = 1 << 16, deg: np.ndarray | None = None):
+def enumerate_cut_stats(G: Graph, batch: int = 1 << 15, deg: np.ndarray | None = None):
     """Yield (masks, cut_weights, vol_small, vol_s) over all unordered cuts.
 
     Each cut appears once, as the side S that excludes vertex n-1; mask bit v

@@ -19,6 +19,7 @@ to a block and `peel` recovers all its sketches at once, both through
 from __future__ import annotations
 
 import math
+import operator
 import struct
 from dataclasses import dataclass
 
@@ -68,6 +69,15 @@ _PRIME = np.uint64(FIELD_PRIME)
 # (item, hash row) pairs per window of `accumulate`: bounds its hash and
 # bincount temporaries to a few MB whatever the batch size
 WINDOW_CELLS = 1 << 16
+
+
+def int_array(values, error=SketchError) -> np.ndarray:
+    """`values` as an int64 array; raises `error` unless they are integers
+    (an empty sequence passes)."""
+    a = np.asarray(values)
+    if a.size and a.dtype.kind not in "biu":
+        raise error(f"expected integers, got {a.dtype} values")
+    return a.astype(np.int64, copy=False)
 
 
 def sketch_row_seeds(seeds: np.ndarray, rows: int) -> np.ndarray:
@@ -283,8 +293,13 @@ class SparseRecoverySketch:
         """Add `delta` to coordinate `index` of the summarized vector.
 
         The one-item reference path: `update_many` and the stream engine
-        must reach the same state as a loop of these calls.
+        must reach the same state as a loop of these calls.  Any integer
+        passes, numpy's included; anything else raises before a change.
         """
+        try:
+            index, delta = operator.index(index), operator.index(delta)
+        except TypeError:
+            raise SketchError(f"update needs integers, got ({index!r}, {delta!r})") from None
         if not (0 <= index < self.params.universe_size):
             raise SketchError(f"index {index} out of range")
         if delta == 0:
@@ -298,8 +313,8 @@ class SparseRecoverySketch:
     def update_many(self, indices, deltas) -> None:
         """Apply a batch of updates in place, as a one-slot `accumulate`;
         same end state as a loop of `update` calls."""
-        idx = np.asarray(indices, dtype=np.int64).ravel()
-        d = np.asarray(deltas, dtype=np.int64).ravel()
+        idx = int_array(indices).ravel()
+        d = int_array(deltas).ravel()
         if idx.shape != d.shape:
             raise SketchError("indices and deltas differ in length")
         if idx.size == 0:

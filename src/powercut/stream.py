@@ -44,14 +44,15 @@ Recovery reads the n slots (j_v, v): dense rows directly, sketch rows by
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import Graph
 from .prf import MASK64, leading_ones_array, mix64, prf, prf_array
-from .sketch import (WINDOW_CELLS, SketchParams, SparseRecoverySketch, accumulate, peel,
-                     sketch_fp_bases, sketch_row_seeds)
+from .sketch import (WINDOW_CELLS, SketchParams, SparseRecoverySketch, accumulate, int_array,
+                     peel, sketch_fp_bases, sketch_row_seeds)
 from .sparsify import SparsifierParams
 
 _LEVEL_TAG = 0x4C76
@@ -73,7 +74,12 @@ class StreamUpdate:
     v: int
 
     def __post_init__(self):
-        if self.u == self.v:
+        try:
+            u, v = operator.index(self.u), operator.index(self.v)
+        except TypeError:
+            raise StreamError(f"stream vertex ids must be integers, got "
+                              f"({self.u!r}, {self.v!r})") from None
+        if u == v:
             raise StreamError("stream edges are loop-free")
 
     @property
@@ -147,6 +153,8 @@ class StreamState:
     Holds n degree counters and (levels+1) x n recovery sketches, each with
     sparsity budget k = min(n, ceil(8Y)) and per-sketch failure probability
     n^-(C+3).  State is linear: it depends only on the net edge multiset.
+    Its randomness, pair levels and slot sketch seeds, derives from
+    `params.seed` alone.
 
     The slots live as rows of blocks, one row per slot touched so far (see
     the module docstring); construction allocates no rows.  When k == n
@@ -157,12 +165,12 @@ class StreamState:
     random FAILs, `recover_sparsifier`; `memory_bytes` is what rows hold.
     """
 
-    def __init__(self, n: int, params: SparsifierParams, seed: int | None = None):
+    def __init__(self, n: int, params: SparsifierParams):
         if n < 1:
             raise StreamError("need n >= 1")
         self.n = n
         self.params = params
-        self.seed = params.seed if seed is None else seed
+        self.seed = params.seed
         self.upsilon = params.upsilon_for(n)
         self.levels, self.k, self.sketch_p = state_shape(n, params)
         self.dense = dense_slots(n, self.k)
@@ -251,12 +259,10 @@ class StreamState:
     def apply(self, u, v, delta) -> None:
         """Apply the updates (u[t], v[t], delta[t]) given as int arrays.
 
-        Every pair is checked before anything changes, so a bad pair leaves
-        the state as it was.
+        Every entry is checked before anything changes, so a non-integer or
+        a bad pair leaves the state as it was.
         """
-        u = np.asarray(u, dtype=np.int64)
-        v = np.asarray(v, dtype=np.int64)
-        delta = np.asarray(delta, dtype=np.int64)
+        u, v, delta = (int_array(a, StreamError) for a in (u, v, delta))
         if not (u.shape == v.shape == delta.shape and u.ndim == 1):
             raise StreamError("u, v and delta must be 1-d arrays of one length")
         bad = np.flatnonzero((u < 0) | (u >= self.n) | (v < 0) | (v >= self.n) | (u == v))
@@ -342,21 +348,21 @@ class StreamState:
         return self.n * (self.levels + 1) * self._cells
 
 
-def sample_offline(G: Graph, params: SparsifierParams, seed: int | None = None) -> Graph:
+def sample_offline(G: Graph, params: SparsifierParams) -> Graph:
     """The sampled graph computed directly from G with the same PRF draws.
 
-    Oracle for `recover_sparsifier`: identical seed and identical final edge
-    set give identical output.  G must be loop-free and unweighted.
+    Oracle for `recover_sparsifier`: a `StreamState` with the same params,
+    `params.seed` included, fed a stream whose final edge set is G recovers
+    this graph, barring a sketch FAIL.  G must be loop-free and unweighted.
     """
     if np.any(G.edge_u == G.edge_v):
         raise StreamError("sample_offline expects a loop-free graph")
     if np.any(G.edge_w != 1.0):
         raise StreamError("sample_offline expects an unweighted graph")
-    use_seed = params.seed if seed is None else seed
     ups = params.upsilon_for(max(G.n, 1))
     j = vertex_levels(G.deg, ups, top_level(G.n))
     j_min = np.minimum(j[G.edge_u], j[G.edge_v])
-    keep = pair_levels(prf(use_seed, _LEVEL_TAG), G.edge_u, G.edge_v) >= j_min
+    keep = pair_levels(prf(params.seed, _LEVEL_TAG), G.edge_u, G.edge_v) >= j_min
     u, v, w = G.edge_u[keep], G.edge_v[keep], 2.0 ** j_min[keep]
     by_edge = np.lexsort((w, v, u))
     return Graph.from_arrays(G.n, u[by_edge], v[by_edge], w[by_edge])

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -33,30 +34,36 @@ def as_sorted_lists(clusters):
 
 
 def test_schedule_phi0_example():
-    params = DecompParams(eps=0.1, quality_k=2, alpha=2.0, o_vol=256.0)
-    sched = make_schedule(params, n=16)
+    sched = Schedule(eps=0.1, quality_k=2, alpha=2.0, b=1.0, delta=1 / 16, o_vol=256.0)
     assert sched.phi0 == pytest.approx(0.003125, rel=1e-12)
 
 
 def test_schedule_single_step():
-    params = DecompParams(eps=0.2, quality_k=1, alpha=1.5, o_vol=100.0)
-    sched = make_schedule(params, n=10)
+    sched = Schedule(eps=0.2, quality_k=1, alpha=1.5, b=1.0, delta=1 / 16, o_vol=100.0)
     vol = 50.0
     assert sched.tau(vol) == pytest.approx(sched.m(1, vol))
     assert sched.m(2, vol) == 1.0
 
 
 def test_schedule_m_hits_one_exactly():
-    params = DecompParams(eps=0.3, quality_k=3, o_vol=1000.0)
-    sched = make_schedule(params, n=30)
+    sched = Schedule(eps=0.3, quality_k=3, alpha=1.3125, b=1.0, delta=1 / 16, o_vol=1000.0)
     assert sched.m(4, 123.456) == 1.0
 
 
 def test_schedule_phi_final_identity():
-    params = DecompParams(eps=0.25, quality_k=4, alpha=1.3, o_vol=640.0)
-    sched = make_schedule(params, n=25)
-    k = params.quality_k
+    sched = Schedule(eps=0.25, quality_k=4, alpha=1.3, b=1.0, delta=1 / 16, o_vol=640.0)
+    k = sched.quality_k
     assert sched.phi_final == pytest.approx(sched.phi0 * sched.alpha ** (-k - 1), rel=1e-12)
+
+
+@pytest.mark.parametrize("mode, b", [("exact", 1.0), ("fast", 0.5)])
+def test_schedule_is_derived_from_params(mode, b):
+    params = DecompParams(eps=0.3, quality_k=2, delta=0.05, mode=mode)
+    for n in (0, 1, 2, 30):
+        sched = make_schedule(params, n)
+        assert (sched.alpha, sched.b, sched.o_vol) == (1 + 5 * params.delta, b, max(n, 2) ** 2)
+    _, rep = decompose(barbell_graph(2, 4, 1), DecompParams(eps=0.3, quality_k=2, mode=mode))
+    assert (rep.alpha, rep.b, rep.phi_final) == (1.3125, b, 0.008424473341868872)
 
 
 def test_params_validation():
@@ -64,6 +71,8 @@ def test_params_validation():
         DecompParams(eps=0.0, quality_k=2)
     with pytest.raises(GraphError):
         DecompParams(eps=0.2, quality_k=0)
+    with pytest.raises(GraphError):
+        DecompParams(eps=0.2, quality_k=2.5)
     with pytest.raises(GraphError):
         DecompParams(eps=0.2, quality_k=2, delta=0.2)
     with pytest.raises(GraphError):
@@ -163,10 +172,8 @@ def pendant_triangle_graph():
 
 def spiked_driver(G, eps=0.2, k=2, seed=3):
     params = DecompParams(eps=eps, quality_k=k, seed=seed)
-    sched = SpikedSchedule(
-        eps=eps, quality_k=k, alpha=params.resolved_alpha, b=params.resolved_b,
-        delta=params.delta, o_vol=float(G.total_volume) ** 2,
-    )
+    sched = SpikedSchedule(**dict(asdict(make_schedule(params, G.n)),
+                                  o_vol=float(G.total_volume) ** 2))
     pools = SparsifierPools.offline(G, params, sched)
     return Decomposer(pools, reference=G), sched
 
@@ -208,10 +215,7 @@ def test_pool_exhaustion_is_a_configuration_error():
     edges += [(8 + i, 8 + j) for i in range(8) for j in range(i + 1, 8)]
     G = Graph(16, edges)
     params = DecompParams(eps=0.3, quality_k=2, seed=1)
-    sched = ShallowSchedule(
-        eps=0.3, quality_k=2, alpha=params.resolved_alpha, b=params.resolved_b,
-        delta=params.delta, o_vol=256.0,
-    )
+    sched = ShallowSchedule(**dict(asdict(make_schedule(params, G.n)), o_vol=256.0))
     pools = SparsifierPools.offline(G, params, sched)
     driver = Decomposer(pools, reference=G)
     with pytest.raises(PoolExhausted):
@@ -290,7 +294,7 @@ def test_report_checks_equal_verify_decomposition(run):
              else planted_partition_graph(2, 30, 0.6, 0.005, seed=3))
         params = DecompParams(eps=0.3, quality_k=2, mode=run, seed=5)
         clusters, rep = decompose(G, params)
-    check = verify_decomposition(G, clusters, params.eps, rep.phi_final, params.exact_cut_limit)
+    check = verify_decomposition(G, clusters, params.eps, rep.phi_final)
     assert rep.verdicts == [v.__dict__ for v in check.clusters]
     assert rep.intercluster_volume == check.intercluster_volume
     assert rep.intercluster_fraction == check.intercluster_fraction

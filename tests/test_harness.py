@@ -137,6 +137,8 @@ def test_gen_graph_dispatch():
     assert gen_graph("barbell", c=2, s=4, bridges=1).n == 8
     with pytest.raises(GraphError):
         gen_graph("mystery", n=4)
+    with pytest.raises(GraphError):
+        gen_graph("barbell", c=2, s=4, bridge=1)
 
 
 def test_gen_stream_counts():
@@ -359,6 +361,53 @@ def test_cli_run_experiment(tmp_path):
     out = tmp_path / "m.csv"
     assert main(["run", "--config", str(cfg), "--out-csv", str(out)]) == 0
     assert len(out.read_text().splitlines()) == 2
+
+
+def bad_config(drop=None, **kw):
+    """A good one-trial JSON config with top-level keys replaced or dropped."""
+    config = dict(json.loads(barbell_config(trials=1).to_json()), **kw)
+    config.pop(drop, None)
+    return config
+
+
+def bad_decomp(**kw):
+    return bad_config(decomp={"eps": 0.3, "quality_k": 2, "mode": "exact", **kw})
+
+
+# each bad config, with what the error message must name
+BAD_CONFIGS = {
+    "not-an-object": ([], "JSON object"),
+    "unknown-key": (bad_config(trails=2), "'trails'"),
+    "missing-key": (bad_config(drop="decomp"), "'decomp'"),
+    **{f"decomp-{key}": (bad_decomp(**{key: 1}), repr(key))
+       for key in ("alpha", "b", "o_vol", "exact_cut_limit", "fail_exponent", "seed")},
+    "fractional-k": (bad_decomp(quality_k=2.5), "quality_k"),
+    "fractional-k-stream": (dict(bad_decomp(quality_k=2.5), stream={"churn": 0.5}),
+                            "quality_k"),
+    "generator-typo": (bad_config(generator={"model": "barbell", "c": 2, "s": 4, "bridge": 1}),
+                       "'bridge'"),
+    "stream-typo": (bad_config(stream={"churn": 0.5, "spare": 1}), "'spare'"),
+    "stream-not-an-object": (bad_config(stream=[0.5]), "stream must be a JSON object"),
+}
+
+
+@pytest.mark.parametrize("config, named", BAD_CONFIGS.values(), ids=BAD_CONFIGS)
+def test_cli_run_rejects_bad_config(tmp_path, capsys, config, named):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["run", "--config", str(cfg), "--out-csv", str(tmp_path / "m.csv")]) == 2
+    assert named in capsys.readouterr().err
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [line.split() for line in block.splitlines() if line.startswith("powercut ")]
+    assert len(commands) == 7
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(barbell_config(trials=1).to_json())
+    for argv in commands:
+        assert main(argv[1:]) == 0, " ".join(argv)
 
 
 # -- benchmark harness ---------------------------------------------------------------

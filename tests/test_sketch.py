@@ -74,6 +74,33 @@ def test_update_index_range_checked():
         s.update(8, +1)
 
 
+def test_numpy_integers_update_like_python_ints():
+    a, b = sketch_new(params()), sketch_new(params())
+    a.update(np.int64(5), np.int32(-1))
+    b.update(5, -1)
+    assert a.serialize() == b.serialize()
+
+
+@pytest.mark.parametrize("call", [
+    lambda s: s.update(5.0, 1),
+    lambda s: s.update(np.float64(5), 1),
+    lambda s: s.update(5, 0.5),
+    lambda s: s.update_many([5.7], [1]),
+    lambda s: s.update_many([5], [0.5]),
+    lambda s: s.update_many(np.array([5.0]), [1]),
+], ids=["float-index", "numpy-float-index", "float-delta", "float-indices",
+        "float-deltas", "float-array"])
+def test_non_integer_updates_raise_before_any_change(call):
+    s = sketch_new(params())
+    s.update(3, 1)
+    before = s.serialize()
+    with pytest.raises(SketchError):
+        call(s)
+    assert s.serialize() == before
+    s.update_many([], [])
+    assert s.serialize() == before
+
+
 def test_merge_identity_and_cancellation():
     base = sketch_new(params(k=2))
     base.update(1, +1)

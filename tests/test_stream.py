@@ -36,6 +36,22 @@ def test_stream_update_rejects_loops():
         StreamUpdate(True, 2, 2)
 
 
+def test_stream_takes_integers_only():
+    with pytest.raises(StreamError):
+        StreamUpdate(True, 0, 1.5)
+    a, b = StreamState(8, small_params()), StreamState(8, small_params())
+    a.process(StreamUpdate(True, np.int64(1), np.int32(5)))
+    b.process(StreamUpdate(True, 1, 5))
+    assert a.serialize() == b.serialize()
+    before = a.serialize()
+    for u, v, d in [([0], [1.5], [1]), ([0.0], [1], [1]), ([0], [1], [0.5])]:
+        with pytest.raises(StreamError):
+            a.apply(u, v, d)
+        assert a.serialize() == before
+    a.apply([], [], [])
+    assert a.serialize() == before
+
+
 def test_edge_level_symmetric_and_deterministic():
     level_seed = prf(small_params().seed, _LEVEL_TAG)
     u, v = np.triu_indices(16, 1)
