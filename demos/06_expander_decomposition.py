@@ -43,7 +43,7 @@ pools = SparsifierPools(B.n, sp, spares=1)
 n_states = sum(1 for _ in pools.all_states())
 pools.feed_many(gen_stream(B, churn=0.5, seed=2))
 print(f"  {n_states} independent stream states, "
-      f"{pools.memory_bytes() / 1e6:.1f} MB of sketches after the stream")
+      f"{pools.memory_bytes() / 1e3:.0f} KB of stream state after the stream")
 clusters, report = decompose(pools, sp, reference_graph=B)
 v = verify_decomposition(B, clusters, sp.eps, report.phi_final)
 print(f"  clusters {sorted(len(c) for c in clusters)}, verifier ok={v.ok}, "

@@ -55,7 +55,7 @@ EXACT_MODE = "exact"
 FAST_MODE = "fast"
 
 # most bytes the states of one stream `SparsifierPools` may need once every
-# slot is touched; planted 4x50 (n = 200, 478 dense states) needs 1.38 GB
+# slot is touched; planted 4x50 (n = 200, 478 dense states) needs 0.15 GB
 POOL_BYTE_CAP = 2 << 30
 
 
@@ -200,8 +200,8 @@ class SparsifierPools:
     * `SparsifierPools.offline(G, params, sched)` samples G with the slot's
       parameters; `decompose` builds it from a Graph source.
 
-    `memory_bytes` is what the stream states hold, or three words per edge
-    of the offline samples drawn so far.
+    `memory_bytes` is what the stream states hold, net blocks or sketch
+    rows, or three words per edge of the offline samples drawn so far.
     """
 
     def __init__(self, n: int, params: DecompParams, spares: int = 1):

@@ -59,7 +59,25 @@ class ExperimentConfig:
     def from_json(cls, text: str) -> "ExperimentConfig":
         data = json.loads(text)
         _check_keys(data, [f.name for f in fields(cls)], ("generator", "decomp"), "config")
+        for key, (ok, what) in _VALUE_RULES.items():
+            if key in data and not ok(data[key]):
+                raise ValueError(f"{key} must be {what}, got {data[key]!r}")
         return cls(**data)
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+# what each config value must be, as JSON parses it
+_VALUE_RULES = {
+    "trials": (lambda x: _is_int(x) and x >= 0, "an integer >= 0"),
+    "seed": (_is_int, "an integer"),
+    "record_timing": (lambda x: isinstance(x, bool), "true or false"),
+    "verify_phi": (lambda x: x is None or _is_int(x) or isinstance(x, float), "a number or null"),
+    "generator": (lambda x: isinstance(x, dict), "a JSON object"),
+    "stream": (lambda x: x is None or isinstance(x, dict), "a JSON object or null"),
+}
 
 
 def _check_keys(section, known, required, where: str) -> None:

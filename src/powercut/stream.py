@@ -12,33 +12,31 @@ there; the union of recovered stars, with edge {u, v} weighted
 ``2^min(j_u, j_v)``, is exactly the subsampled graph that `sample_offline`
 computes directly from the final edge set under the same seed.
 
-Layout.  A `StreamState` keeps its (level, vertex) slots as the rows of
-blocks, one row per slot.  Slots are lazy: a slot gets a row the first time
-an update, a recovery or `sketch_at` touches it, and an untouched slot is
-zero, so laziness never changes observable state and `total_buckets` counts
-only the slots touched.  What a row holds depends on the sparsity budget k:
+Layout.  What a state keeps depends on the sparsity budget k:
 
-* k == n (`dense_slots`): the slot's net vector itself, one row of an
-  (S, n) int64 block.  Every desk-scale pool is here, since k = min(n,
-  ceil(8Y)) = n, and a vector of n entries is smaller than any sketch of it
-  (R * 2k buckets of three words).  A dense vector is linear and recovers
-  exactly, so the sketch's random FAILs are the only thing that goes away.
-* k < n: a sparse-recovery sketch, one row of each of three (S, R, B)
-  blocks `counts`, `id_sums` and `fps`, for R hash rows and B = 2k buckets.
+* k == n (`dense_slots`): the net graph, one symmetric (n, n) int64 block
+  of pair counts.  Every desk-scale pool is here, since k = min(n, ceil(8Y))
+  = n.  Slot (i, v) is row v filtered to the pairs of level >= i, so the
+  recovery of the slots (j_v, v) is `sample_offline`'s draw from the net
+  pairs (`_sampled_graph`), with no random FAILs.
+* k < n: a sparse-recovery sketch per slot, one row of each of three
+  (S, R, B) blocks `counts`, `id_sums` and `fps`, for R hash rows and
+  B = 2k buckets.  Slots are lazy: a slot gets a row the first time an
+  update, a recovery or `sketch_at` touches it, and an untouched slot is
+  zero, so laziness never changes observable state.
 
-A batch of updates is applied in a few vectorized passes: pair levels for
-every update, their expansion into (slot, index, delta) items, then one
-`np.add.at` into the dense block, or `sketch.accumulate`, which nets,
-hashes and sums the items into the sketch blocks.  Updates are expanded
-`UPDATE_CHUNK` at a time and `accumulate` hashes at most
-`sketch.WINDOW_CELLS` (item, row) pairs at a time, so a batch needs a few
-MB beyond the blocks whatever its length.  The sums are exact: counts and
-id sums are added as int64, as `SparseRecoverySketch.update` adds them, and
+A dense state adds each update to the two entries of its pair.  A sketch
+state expands a batch into (slot, index, delta) items by pair level, and
+`sketch.accumulate` nets, hashes and sums them into the blocks.  Updates are
+expanded `UPDATE_CHUNK` at a time and `accumulate` hashes at most
+`sketch.WINDOW_CELLS` (item, row) pairs at a time, so a batch needs a few MB
+beyond the blocks whatever its length.  The sums are exact: counts and id
+sums are added as int64, as `SparseRecoverySketch.update` adds them, and
 fingerprints stay reduced mod 2^61 - 1, so a sketch block matches a loop of
-scalar updates bit for bit, and the sketch of a dense row (`sketch_at`)
-equals the sketch the same updates would have built.
-Recovery reads the n slots (j_v, v): dense rows directly, sketch rows by
-`sketch.peel` in groups of at most `sketch.WINDOW_CELLS` cells.
+scalar updates bit for bit, and the sketch a dense state builds for a slot
+(`sketch_at`) equals the sketch the same updates would have built.  A sketch
+state recovers the n slots (j_v, v) by `sketch.peel` in groups of at most
+`sketch.WINDOW_CELLS` cells.
 """
 
 from __future__ import annotations
@@ -125,12 +123,12 @@ def dense_slots(n: int, k: int) -> bool:
 
 def worst_case_bytes(n: int, params: SparsifierParams) -> int:
     """Bytes a `StreamState` holds once every slot is touched, degrees
-    included: n int64 per dense slot, or 3 int64 per sketch bucket."""
+    included: the (n, n) int64 net block of a dense state, or 3 int64 per
+    sketch bucket."""
     levels, k, sketch_p = state_shape(n, params)
     if dense_slots(n, k):
-        slot = 8 * n
-    else:
-        slot = 24 * 2 * k * SketchParams(n, k, sketch_p, 0).rows
+        return 8 * n * n + 8 * n
+    slot = 24 * 2 * k * SketchParams(n, k, sketch_p, 0).rows
     return (levels + 1) * n * slot + 8 * n
 
 
@@ -150,19 +148,17 @@ def vertex_levels(deg, ups: float, max_level: int) -> np.ndarray:
 class StreamState:
     """Entire memory footprint of the streaming algorithm for one sample.
 
-    Holds n degree counters and (levels+1) x n recovery sketches, each with
-    sparsity budget k = min(n, ceil(8Y)) and per-sketch failure probability
-    n^-(C+3).  State is linear: it depends only on the net edge multiset.
-    Its randomness, pair levels and slot sketch seeds, derives from
-    `params.seed` alone.
+    Holds n degree counters and (levels+1) x n slots (i, v), v's net
+    adjacency over the pairs of level >= i, with sparsity budget k = min(n,
+    ceil(8Y)) and per-sketch failure probability n^-(C+3).  State is linear:
+    it depends only on the net edge multiset.  Its randomness, pair levels
+    and slot sketch seeds, derives from `params.seed` alone.
 
-    The slots live as rows of blocks, one row per slot touched so far (see
-    the module docstring); construction allocates no rows.  When k == n
-    (`dense_slots`, decided once here and kept in `dense`), a row is the
-    slot's net vector itself, one (S, n) int64 block; otherwise it is a
-    sketch, three (S, R, B) blocks.  Both touch the same slots, FAIL or not,
-    and give the same `serialize`, `total_buckets` and, barring the sketch's
-    random FAILs, `recover_sparsifier`; `memory_bytes` is what rows hold.
+    When k == n (`dense_slots`, decided once here and kept in `dense`), one
+    (n, n) int64 net block holds every slot; otherwise each touched slot is a
+    sketch, a row of three (S, R, B) blocks (see the module docstring).  Both
+    give the same `serialize` and, barring the sketch's random FAILs, the
+    same `recover_sparsifier`.
     """
 
     def __init__(self, n: int, params: SparsifierParams):
@@ -176,22 +172,19 @@ class StreamState:
         self.dense = dense_slots(n, self.k)
         self.deg = np.zeros(n, dtype=np.int64)
         self._level_seed = prf(self.seed, _LEVEL_TAG)
+        R, B = self._sketch_params(0).rows, 2 * self.k
+        self._cells = R * B
+        if self.dense:
+            # net count of every pair, kept at both (u, v) and (v, u)
+            self._net = np.zeros((n, n), dtype=np.int64)
+            return
         # slot (level, v) has key level * n + v and sketch seed
         # prf(seed, _SKETCH_TAG, level, v); _row[key] is its block row, or -1
         self._row = np.full((self.levels + 1) * n, -1, dtype=np.int64)
         self._used = 0
-        R, B = self._sketch_params(0).rows, 2 * self.k
-        self._cells = R * B
         self._seeds = np.zeros(0, dtype=np.uint64)
-        # the row payload: a dense vector, or (counts, id_sums, fps) buckets
-        if self.dense:
-            self._payload = (np.zeros((0, n), dtype=np.int64),)
-        else:
-            self._payload = (
-                np.zeros((0, R, B), dtype=np.int64),
-                np.zeros((0, R, B), dtype=np.int64),
-                np.zeros((0, R, B), dtype=np.uint64),
-            )
+        # the (counts, id_sums, fps) buckets
+        self._payload = tuple(np.zeros((0, R, B), dtype=t) for t in (np.int64, np.int64, np.uint64))
 
     def _sketch_params(self, seed: int) -> SketchParams:
         return SketchParams(self.n, self.k, self.sketch_p, seed)
@@ -228,24 +221,21 @@ class StreamState:
         self._payload = tuple(map(grown, self._payload))
 
     def sketch_at(self, level: int, v: int) -> SparseRecoverySketch:
-        """A copy of the sketch of slot (level, v); touches the slot.
-
-        On a sketch state it copies the slot's block rows; on a dense state
-        it builds the sketch by `update_many` from the slot's nonzeros, by
-        linearity the same sketch.  Either way, writes to it do not reach
-        the state.
-        """
+        """A copy of the sketch of slot (level, v): a sketch state's block
+        rows, touching the slot, or a dense state's row v filtered to the
+        pairs of level >= `level`, by linearity the same sketch.  Writes to
+        it do not reach the state."""
         if not (0 <= level <= self.levels and 0 <= v < self.n):
             raise StreamError(f"no sketch slot ({level}, {v})")
+        if self.dense:
+            idx = np.flatnonzero(self._net[v])
+            idx = idx[pair_levels(self._level_seed, v, idx) >= level]
+            sk = SparseRecoverySketch(self._sketch_params(prf(self.seed, _SKETCH_TAG, level, v)))
+            sk.update_many(idx, self._net[v, idx])
+            return sk
         row = int(self._rows(np.array([level * self.n + v]))[0])
         sp = self._sketch_params(int(self._seeds[row]))
-        if not self.dense:
-            return SparseRecoverySketch(sp, tuple(a[row].copy() for a in self._payload))
-        vec = self._payload[0][row]
-        sk = SparseRecoverySketch(sp)
-        idx = np.flatnonzero(vec)
-        sk.update_many(idx, vec[idx])
-        return sk
+        return SparseRecoverySketch(sp, tuple(a[row].copy() for a in self._payload))
 
     def process(self, upd: StreamUpdate) -> None:
         """Apply one insert/delete: a batch of one."""
@@ -271,6 +261,11 @@ class StreamState:
             raise StreamError(f"update ({u[t]},{v[t]}) out of range or a loop")
         np.add.at(self.deg, u, delta)
         np.add.at(self.deg, v, delta)
+        if self.dense:
+            net = self._net.reshape(-1)  # a flat view: writes land in the block
+            np.add.at(net, u * self.n + v, delta)
+            np.add.at(net, v * self.n + u, delta)
+            return
         for lo in range(0, u.size, UPDATE_CHUNK):
             hi = lo + UPDATE_CHUNK
             self._accumulate(u[lo:hi], v[lo:hi], delta[lo:hi])
@@ -287,37 +282,33 @@ class StreamState:
         )
         rows = self._rows(slots)[inverse]  # may grow the block: before reading it
         index, d = np.concatenate([b, a]), np.concatenate([d, d])
-        if self.dense:
-            # a flat view of the contiguous block: writes land in the block
-            np.add.at(self._payload[0].reshape(-1), rows * self.n + index, d)
-        else:
-            accumulate(*self._payload, self._seeds, rows, index, d, self.n)
+        accumulate(*self._payload, self._seeds, rows, index, d, self.n)
 
     def recover_sparsifier(self) -> Graph | None:
         """Recover the weighted sampled graph, or None on any FAIL.
 
-        The net edge multiset of a valid stream is a simple graph, so on
-        both paths a peel FAIL, an entry other than 1 or more than k entries
-        in a slot (the k-sparse contract) gives None.
+        The net edge multiset of a valid stream is a simple graph, so an
+        entry other than 1, a peel FAIL or more than k entries in a slot (the
+        k-sparse contract) gives None.  A dense state draws from its net pairs.
         """
-        j = vertex_levels(self.deg, self.upsilon, self.levels)
-        # touches the n slots on both paths, and may grow the block: before reading it
-        rows = self._rows(j * self.n + np.arange(self.n))
         if self.dense:
-            vecs = self._payload[0][rows]
-            v, u = np.nonzero(vecs)
-            x, fail = vecs[v, u], False
-        else:
-            R, group = self._payload[0].shape[1], max(1, WINDOW_CELLS // self._cells)
-            found, fail = [], False
-            for a in range(0, self.n, group):
-                g = rows[a : a + group]  # fancy indexing: the peel gets copies
-                slot, index, value, failed = peel(*(block[g] for block in self._payload),
-                                                  sketch_row_seeds(self._seeds[g], R),
-                                                  sketch_fp_bases(self._seeds[g]), self.n)
-                found.append((slot + a, index, value))
-                fail |= failed.any()
-            v, u, x = map(np.concatenate, zip(*found))
+            u, v = np.nonzero(self._net)
+            upper = u < v
+            u, v = u[upper], v[upper]
+            return _sampled_graph(self.n, self.params, self.deg, u, v, self._net[u, v])
+        j = vertex_levels(self.deg, self.upsilon, self.levels)
+        # touches the n slots, and may grow the block: before reading it
+        rows = self._rows(j * self.n + np.arange(self.n))
+        R, group = self._payload[0].shape[1], max(1, WINDOW_CELLS // self._cells)
+        found, fail = [], False
+        for a in range(0, self.n, group):
+            g = rows[a : a + group]  # fancy indexing: the peel gets copies
+            slot, index, value, failed = peel(*(block[g] for block in self._payload),
+                                              sketch_row_seeds(self._seeds[g], R),
+                                              sketch_fp_bases(self._seeds[g]), self.n)
+            found.append((slot + a, index, value))
+            fail |= failed.any()
+        v, u, x = map(np.concatenate, zip(*found))
         if fail or (x != 1).any() or (np.bincount(v, minlength=self.n) > self.k).any():
             return None
         keys = np.unique(np.minimum(u, v) * self.n + np.maximum(u, v))
@@ -333,19 +324,31 @@ class StreamState:
 
     # -- space accounting -----------------------------------------------------
 
-    def total_buckets(self) -> int:
-        """Buckets of the sketches of the touched slots, dense or not; at
-        most `bucket_budget`."""
-        return self._used * self._cells
-
     def memory_bytes(self) -> int:
-        """Bytes held by the touched slots' rows and the degree counters."""
+        """Bytes held by the net block or the sketch rows, and the degrees."""
+        if self.dense:
+            return self._net.nbytes + self.deg.nbytes
         row = sum(a.itemsize * math.prod(a.shape[1:]) for a in self._payload)
         return self._used * row + self.deg.nbytes
 
     def bucket_budget(self) -> int:
         """Bucket count of the full sketch family: n*(L+1)*2k*R."""
         return self.n * (self.levels + 1) * self._cells
+
+
+def _sampled_graph(n: int, params: SparsifierParams, deg, u, v, count) -> Graph | None:
+    """The sampled graph of the pairs {u[t], v[t]} (u < v) of net counts
+    `count[t]`, over vertex degrees `deg`: a pair is kept when its level is
+    >= min(j_u, j_v), with weight 2^min(j_u, j_v), in (u, v, w) order.
+    None when a kept pair's count is not 1."""
+    j = vertex_levels(deg, params.upsilon_for(max(n, 1)), top_level(n))
+    j_min = np.minimum(j[u], j[v])
+    keep = pair_levels(prf(params.seed, _LEVEL_TAG), u, v) >= j_min
+    if (count[keep] != 1).any():
+        return None
+    u, v, w = u[keep], v[keep], 2.0 ** j_min[keep]
+    by_edge = np.lexsort((w, v, u))
+    return Graph.from_arrays(n, u[by_edge], v[by_edge], w[by_edge])
 
 
 def sample_offline(G: Graph, params: SparsifierParams) -> Graph:
@@ -359,13 +362,8 @@ def sample_offline(G: Graph, params: SparsifierParams) -> Graph:
         raise StreamError("sample_offline expects a loop-free graph")
     if np.any(G.edge_w != 1.0):
         raise StreamError("sample_offline expects an unweighted graph")
-    ups = params.upsilon_for(max(G.n, 1))
-    j = vertex_levels(G.deg, ups, top_level(G.n))
-    j_min = np.minimum(j[G.edge_u], j[G.edge_v])
-    keep = pair_levels(prf(params.seed, _LEVEL_TAG), G.edge_u, G.edge_v) >= j_min
-    u, v, w = G.edge_u[keep], G.edge_v[keep], 2.0 ** j_min[keep]
-    by_edge = np.lexsort((w, v, u))
-    return Graph.from_arrays(G.n, u[by_edge], v[by_edge], w[by_edge])
+    # every edge counts once: its unit weight
+    return _sampled_graph(G.n, params, G.deg, G.edge_u, G.edge_v, G.edge_w)
 
 
 # -- stream files --------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Dense slots against the sketch path, and the pools' preflight byte cap.
 
 A `StreamState` whose sparsity budget covers the universe (k == n) keeps
-each slot as its net vector.  Forcing the sketch path through the
-`stream.dense_slots` predicate must give the same serialized state, the same
-bucket accounting and, where the sketch does not FAIL, the same recovered
+the net graph, one count block that holds every slot.  Forcing the sketch
+path through the `stream.dense_slots` predicate must give the same
+serialized state and, where the sketch does not FAIL, the same recovered
 sparsifier and decomposition.  Dense stream pools must also decompose like
 offline pools that draw `sample_offline`.
 """
@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from powercut import (
     DecompParams,
+    Graph,
     PoolTooLarge,
     SparsifierParams,
     SparsifierPools,
@@ -32,6 +33,7 @@ from powercut import (
 from powercut import stream as stream_mod
 from powercut.cli import main
 from powercut.experiment import ExperimentConfig
+from powercut.prf import prf
 
 from conftest import assert_same_graph
 
@@ -79,16 +81,14 @@ def test_dense_state_equals_sketch_state(stream, seed, ups_frac):
     dense, sketched = both_states(G.n, sp)
     dense.process_many(updates)
     sketched.process_many(updates)
-    assert dense.total_buckets() == sketched.total_buckets()
-    assert dense.memory_bytes() <= sketched.memory_bytes()
     got = dense.recover_sparsifier()
     assert_same_graph(got, sample_offline(G, sp))
     want = sketched.recover_sparsifier()
     if want is not None:
         assert_same_graph(got, want)
-    assert dense.total_buckets() == sketched.total_buckets()
+    # recovery leaves the sketch state holding a row for each of the n slots
+    assert dense.memory_bytes() <= sketched.memory_bytes()
     assert dense.serialize() == sketched.serialize()
-    assert dense.total_buckets() == sketched.total_buckets() == dense.bucket_budget()
 
 
 @pytest.mark.parametrize("path", ["dense", "sketch"])
@@ -127,8 +127,24 @@ def test_entry_outside_minus_one_to_n_fails_on_both_paths(ops, isolated):
     for state in (dense, sketched):
         state.process_many(updates)
         assert state.recover_sparsifier() is None
-    # a FAIL touches the same slots on both paths: every vertex's slot
-    assert dense.total_buckets() == sketched.total_buckets()
+
+
+def test_bad_entry_below_every_recovery_level_is_not_read():
+    # K_8 at Y = 1 is dense (k = ceil(8Y) = n) and puts every vertex at
+    # j_v >= 1, so a pair of level 0 lies in no slot that recovery reads:
+    # an extra copy of it (net count 2) fails neither path
+    G = Graph(8, [(u, v) for u in range(8) for v in range(u + 1, 8)])
+    sp = SparsifierParams(delta=0.25, eps=0.5, upsilon_override=1.0, seed=5)
+    levels = stream_mod.pair_levels(prf(sp.seed, stream_mod._LEVEL_TAG), G.edge_u, G.edge_v)
+    u, v = G.edge_u[levels == 0][0], G.edge_v[levels == 0][0]
+    dense, sketched = both_states(G.n, sp)
+    for state in (dense, sketched):
+        state.process_many(gen_stream(G, churn=0.5, seed=3) + [StreamUpdate(True, u, v)])
+    j = stream_mod.vertex_levels(dense.deg, dense.upsilon, dense.levels)
+    assert j.min() >= 1
+    got = dense.recover_sparsifier()
+    assert got is not None and got.num_edges > 0
+    assert_same_graph(got, sketched.recover_sparsifier())
 
 
 def test_more_than_k_nonzeros_fails_when_dense_rows_are_forced(monkeypatch):
@@ -248,8 +264,8 @@ def test_cap_admits_dense_planted_4x50_and_refuses_its_sketch_budget():
     states = list(pools.all_states())
     assert len(states) == 478 and all(s.dense for s in states)
     need = sum(stream_mod.worst_case_bytes(200, s.params) for s in states)
-    assert 1.3e9 < need <= decompose_mod.POOL_BYTE_CAP
-    assert pools.memory_bytes() == sum(s.deg.nbytes for s in states)
+    assert need == 478 * (8 * 200**2 + 8 * 200)
+    assert pools.memory_bytes() == need
     with sketch_path():
         with pytest.raises(PoolTooLarge):
             SparsifierPools(200, params)

@@ -399,6 +399,30 @@ def test_cli_run_rejects_bad_config(tmp_path, capsys, config, named):
     assert named in capsys.readouterr().err
 
 
+# config values of the wrong type, with the key the error must name; each
+# would crash or run with a wrong meaning
+BAD_VALUES = {
+    "trials-string": (bad_config(trials="2"), "trials"),
+    "trials-negative": (bad_config(trials=-1), "trials"),
+    "trials-float": (bad_config(trials=1.0), "trials"),
+    "trials-bool": (bad_config(trials=True), "trials"),
+    "seed-float": (bad_config(seed=1.5), "seed"),
+    "seed-string": (bad_config(seed="1"), "seed"),
+    "record-timing-string": (bad_config(record_timing="yes"), "record_timing"),
+    "verify-phi-string": (bad_config(verify_phi="x"), "verify_phi"),
+    "generator-number": (bad_config(generator=5), "generator"),
+    "stream-number-no-trials": (bad_config(stream=0.5, trials=0), "stream"),
+}
+
+
+@pytest.mark.parametrize("config, key", BAD_VALUES.values(), ids=BAD_VALUES)
+def test_cli_run_rejects_config_value_of_wrong_type(tmp_path, capsys, config, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["run", "--config", str(cfg), "--out-csv", str(tmp_path / "m.csv")]) == 2
+    assert f"{key} must be" in capsys.readouterr().err
+
+
 def test_readme_cli_block_runs(tmp_path, monkeypatch):
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]

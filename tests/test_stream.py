@@ -20,6 +20,7 @@ from powercut.stream import (
     pair_levels,
     pick_level,
     save_stream,
+    worst_case_bytes,
 )
 
 from conftest import complete_graph
@@ -184,11 +185,17 @@ def test_sample_offline_rejects_weighted_or_loopy():
 
 
 def test_space_accounting_matches_budget():
+    # what `PoolTooLarge`'s preflight adds up is what a state comes to hold
     st = StreamState(32, small_params())
-    assert st.total_buckets() <= st.bucket_budget()
-    st.serialize()  # forces every slot to materialize
-    assert st.total_buckets() == st.bucket_budget()
-    assert st.memory_bytes() >= st.total_buckets() * 24
+    assert not st.dense
+    assert st.memory_bytes() == st.deg.nbytes
+    st.serialize()  # touches every slot
+    assert st.memory_bytes() == worst_case_bytes(32, st.params)
+    dense = StreamState(32, small_params(upsilon_override=4.0))
+    assert dense.dense
+    assert dense.memory_bytes() == worst_case_bytes(32, dense.params)
+    dense.process_many(gen_stream(gnp_graph(32, 0.3, seed=1), churn=0.5, seed=2))
+    assert dense.memory_bytes() == worst_case_bytes(32, dense.params)
 
 
 def test_stream_file_roundtrip(tmp_path):

@@ -222,8 +222,8 @@ def test_process_batching_gives_identical_state(stream, seed, data):
     split = StreamState(G.n, sp)
     for lo, hi in zip([0] + cuts, cuts + [len(updates)]):
         split.process_many(updates[lo:hi])
-    # compare bucket counts first: serialize materializes every slot
-    assert one.total_buckets() == whole.total_buckets() == split.total_buckets()
+    # compare bytes first: serialize touches every slot
+    assert one.memory_bytes() == whole.memory_bytes() == split.memory_bytes()
     assert one.serialize() == whole.serialize() == split.serialize()
 
 
@@ -254,8 +254,6 @@ def test_each_slot_matches_scalar_reference(stream, seed):
                     ref = SparseRecoverySketch(SketchParams(G.n, state.k, state.sketch_p, seed_iv))
                     refs[(i, vtx)] = ref
                 ref.update(idx, upd.delta)
-    shape = SketchParams(G.n, state.k, state.sketch_p, 0)
-    assert state.total_buckets() == len(refs) * shape.rows * shape.buckets_per_row
     for (i, vtx), ref in refs.items():
         assert state.sketch_at(i, vtx).serialize() == ref.serialize()
     assert np.array_equal(state.deg, G.deg.astype(np.int64))
@@ -270,25 +268,24 @@ def test_engine_chunks_and_windows_match_one_pass(monkeypatch):
     monkeypatch.setattr(sketch_mod, "WINDOW_CELLS", 64)
     chunked = StreamState(G.n, params(seed=5))
     chunked.process_many(updates)
-    assert chunked.total_buckets() == whole.total_buckets()
+    assert chunked.memory_bytes() == whole.memory_bytes()
     assert chunked.serialize() == whole.serialize()
 
 
 def test_construction_allocates_no_rows():
     state = StreamState(40, params())
-    assert state.total_buckets() == 0
     assert state.memory_bytes() == state.deg.nbytes
 
 
 def test_bad_pair_leaves_state_untouched():
     state = StreamState(6, params())
     state.process(StreamUpdate(True, 0, 1))
-    before = (state.total_buckets(), state.deg.copy())
+    before = (state.memory_bytes(), state.deg.copy())
     with pytest.raises(StreamError):
         state.process_many([StreamUpdate(True, 2, 3), StreamUpdate(True, 4, 6)])
     with pytest.raises(StreamError):
         state.apply(np.array([1]), np.array([1]), np.array([1]))
-    assert state.total_buckets() == before[0]
+    assert state.memory_bytes() == before[0]
     assert np.array_equal(state.deg, before[1])
     with pytest.raises(StreamError):
         state.sketch_at(state.levels + 1, 0)
@@ -311,7 +308,7 @@ def test_pools_feed_many_equals_per_update_feed():
     for upd in updates:
         single.feed(upd)
     for a, b in zip(batch.all_states(), single.all_states()):
-        assert a.total_buckets() == b.total_buckets()
+        assert a.memory_bytes() == b.memory_bytes()
         assert np.array_equal(a.deg, b.deg)
     _, rep_a = decompose(batch, params_d, reference_graph=B)
     _, rep_b = decompose(single, params_d, reference_graph=B)
@@ -325,7 +322,9 @@ def test_pools_reject_bad_batch_before_any_state_changes():
     pools = SparsifierPools(B.n, params_d, spares=0)
     with pytest.raises(StreamError):
         pools.feed_many(updates + [StreamUpdate(True, 0, B.n)])
-    assert pools.memory_bytes() == sum(st.deg.nbytes for st in pools.all_states())
+    fresh = SparsifierPools(B.n, params_d, spares=0)
+    assert all(a.serialize() == b.serialize()
+               for a, b in zip(pools.all_states(), fresh.all_states()))
     assert all(not st.deg.any() for st in pools.all_states())
 
 
@@ -353,7 +352,7 @@ def test_process_batching_gives_identical_state_on_sketch_path(stream, seed, dat
     split = StreamState(G.n, sp)
     for lo, hi in zip([0] + cuts, cuts + [len(updates)]):
         split.process_many(updates[lo:hi])
-    assert one.total_buckets() == whole.total_buckets() == split.total_buckets()
+    assert one.memory_bytes() == whole.memory_bytes() == split.memory_bytes()
     assert one.serialize() == whole.serialize() == split.serialize()
 
 
@@ -375,7 +374,8 @@ def test_each_slot_matches_scalar_reference_on_sketch_path(stream, seed):
                         SketchParams(G.n, state.k, state.sketch_p, seed_iv))
                 refs[(i, vtx)].update(idx, upd.delta)
     shape = SketchParams(G.n, state.k, state.sketch_p, 0)
-    assert state.total_buckets() == len(refs) * shape.rows * shape.buckets_per_row
+    slot_bytes = 24 * shape.rows * shape.buckets_per_row
+    assert state.memory_bytes() == len(refs) * slot_bytes + state.deg.nbytes
     for (i, vtx), ref in refs.items():
         assert state.sketch_at(i, vtx).serialize() == ref.serialize()
     assert np.array_equal(state.deg, G.deg.astype(np.int64))
@@ -392,7 +392,7 @@ def test_engine_chunks_and_windows_match_one_pass_on_sketch_path(monkeypatch):
     monkeypatch.setattr(sketch_mod, "WINDOW_CELLS", 64)
     chunked = StreamState(G.n, sp)
     chunked.process_many(updates)
-    assert chunked.total_buckets() == whole.total_buckets()
+    assert chunked.memory_bytes() == whole.memory_bytes()
     assert chunked.serialize() == whole.serialize()
 
 
@@ -416,7 +416,7 @@ def test_pools_feed_many_equals_per_update_feed_on_sketch_path():
         single.feed(upd)
     for a, b in zip(batch.all_states(), single.all_states()):
         assert not a.dense
-        assert a.total_buckets() == b.total_buckets()
+        assert a.memory_bytes() == b.memory_bytes()
         assert np.array_equal(a.deg, b.deg)
     assert _decompose_outcome(batch, params_d, B) == _decompose_outcome(single, params_d, B)
     for a, b in zip(batch.all_states(), single.all_states()):
