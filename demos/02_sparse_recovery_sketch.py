@@ -7,10 +7,10 @@ Linearity is the whole point: deletions are just negative updates, and two
 sketches of the same shape add.
 """
 
-from powercut import SketchParams, sketch_new
+from powercut import SketchParams, SparseRecoverySketch
 
 params = SketchParams(universe_size=256, sparsity_budget=4, failure_prob=1e-4, seed=7)
-s = sketch_new(params)
+s = SparseRecoverySketch(params)
 print(f"fresh sketch: {params.rows} rows x {params.buckets_per_row} buckets,"
       f" recover() = {s.recover()}")
 
@@ -28,14 +28,14 @@ s.update(99, -1)
 print("insert+delete cancels bit-exactly:", s.serialize() == blob_before)
 
 # merging sketches of disjoint updates recovers the sum vector
-a = sketch_new(params)
-b = sketch_new(params)
+a = SparseRecoverySketch(params)
+b = SparseRecoverySketch(params)
 a.update(1, +1)
 b.update(2, +1)
 print("merge of e_1 and e_2 sketches:", a.merge(b).recover())
 
 # a net vector denser than k is refused rather than guessed
-dense = sketch_new(params)
+dense = SparseRecoverySketch(params)
 for i in range(16):
     dense.update(i, +1)
 print("16 nonzeros at k=4 recovers as:", dense.recover(), "(FAIL)")

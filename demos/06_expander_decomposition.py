@@ -42,8 +42,8 @@ sp = DecompParams(eps=0.3, quality_k=2, mode="exact", seed=17)
 pools = SparsifierPools(B.n, sp, spares=1)
 n_states = sum(1 for _ in pools.all_states())
 pools.feed_many(gen_stream(B, churn=0.5, seed=2))
-print(f"  {n_states} independent stream states, "
-      f"{pools.memory_bytes() / 1e3:.0f} KB of stream state after the stream")
+print(f"  {len(pools.slot_states)} sparsifier slots read {n_states} stream state(s),"
+      f" {pools.memory_bytes()} bytes of net counts after the stream")
 clusters, report = decompose(pools, sp, reference_graph=B)
 v = verify_decomposition(B, clusters, sp.eps, report.phi_final)
 print(f"  clusters {sorted(len(c) for c in clusters)}, verifier ok={v.ok}, "

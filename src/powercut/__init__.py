@@ -56,7 +56,7 @@ from .graph import (
     save_graph,
     save_partition,
 )
-from .sketch import SketchParams, SparseRecoverySketch, sketch_new
+from .sketch import SketchParams, SparseRecoverySketch
 from .sparsify import (
     SparsifierParams,
     check_cut_sparsifier,

@@ -24,7 +24,8 @@ from .decompose import (
 )
 from .experiment import ExperimentConfig, run_experiment
 from .generators import gen_graph, gen_stream
-from .graph import GraphError, load_graph, load_partition, save_graph, save_partition
+from .graph import (BRUTE_FORCE_LIMIT, GraphError, load_graph, load_partition, save_graph,
+                    save_partition)
 from .sparsify import SparsifierParams, sample
 from .stream import StreamState, load_stream, save_stream
 
@@ -92,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     vf.add_argument("--partition", required=True)
     vf.add_argument("--phi", type=float, required=True)
     vf.add_argument("--eps", type=float, required=True)
-    vf.add_argument("--exact-limit", type=int, default=22)
+    vf.add_argument("--exact-limit", type=int, default=BRUTE_FORCE_LIMIT)
     vf.add_argument("--report", help="JSON verification report path")
 
     rn = sub.add_parser("run", help="run an experiment config (JSON)")

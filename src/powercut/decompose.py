@@ -10,8 +10,9 @@ remaining core is certified an expander.
 Each phase consumes sparsifiers from its own slots of one `SparsifierPools`:
 one per recursion depth for phase one, one per (outer, inner) iteration for
 phase two, shared across all phase-two invocations.  A slot's sparsifier is
-either an offline sample of the input graph or recovered from an independent
-stream state; all the states saw the same update stream.
+either an offline sample of the input graph or recovered, under the slot's
+own parameters, from a stream state that saw the whole update stream: one
+net-count state serves every dense slot, and each sketch slot has its own.
 
 Termination and quality bounds (recursion depth, iteration counts, the
 sparse-cut composition property, the singleton volume budget, per-cluster
@@ -24,10 +25,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import stream
 from .cuts import (
     BalancedCutOutcome,
     SweepNumericFailure,
@@ -54,8 +56,9 @@ _SLOT_TAGS = {"phase1": 0xA1, "phase2": 0xA2, "spare": 0x5A}
 EXACT_MODE = "exact"
 FAST_MODE = "fast"
 
-# most bytes the states of one stream `SparsifierPools` may need once every
-# slot is touched; planted 4x50 (n = 200, 478 dense states) needs 0.15 GB
+# most bytes the states one stream `SparsifierPools` holds may need once
+# every slot is touched; planted 4x50 (n = 200, 478 slots, all dense) holds
+# one state of 0.32 MB
 POOL_BYTE_CAP = 2 << 30
 
 
@@ -187,21 +190,25 @@ class SparsifierPools:
 
     Two sources, as two constructors:
 
-    * `SparsifierPools(n, params, spares)` keeps one `StreamState` per slot,
-      plus `spares` spare states ("spare", j, s) per accuracy level j.  It is
-      built before the stream (the slot count comes from the volume upper
-      bound), fed every update, and handed to `decompose` afterwards.  A
-      FAIL during recovery consumes a spare of the slot's level; running out
-      raises `SketchFailExhausted`.  Before any state exists it adds up what
-      every state would hold once all its slots are touched
-      (`stream.worst_case_bytes`) and raises `PoolTooLarge` above
+    * `SparsifierPools(n, params, spares)` gives every slot, and `spares`
+      spare slots ("spare", j, s) per accuracy level j, a `StreamState`.  A
+      dense state (`stream.dense_slots`) is the net graph whatever its seed,
+      so all dense slots share the first one's state and each recovers from
+      it under its own parameters; a sketch slot (k < n) keeps a state of its
+      own.  The pools are built before the stream (the slot count comes from
+      the volume upper bound), fed every update, and handed to `decompose`
+      afterwards.  A FAIL during recovery consumes a spare of the slot's
+      level; running out raises `SketchFailExhausted`.  Before any state
+      exists they add up what every held state would hold once all its slots
+      are touched (`stream.worst_case_bytes`) and raise `PoolTooLarge` above
       `POOL_BYTE_CAP`, so a configuration that needs gigabytes fails at once
-      instead of exhausting memory during the feed.
+      instead of exhausting memory during the feed.  `slot_states` maps
+      every slot key, spares included, to the state it reads.
     * `SparsifierPools.offline(G, params, sched)` samples G with the slot's
       parameters; `decompose` builds it from a Graph source.
 
-    `memory_bytes` is what the stream states hold, net blocks or sketch
-    rows, or three words per edge of the offline samples drawn so far.
+    `memory_bytes` is what the held stream states hold, net blocks or
+    sketch rows, or three words per edge of the offline samples drawn so far.
     """
 
     def __init__(self, n: int, params: DecompParams, spares: int = 1):
@@ -212,19 +219,27 @@ class SparsifierPools:
                  for h in range(1, sched.alg2_pool_size + 1)]
         keys += [("spare", j, s) for j in range(sched.quality_k + 2) for s in range(spares)]
         slots = {key: self._slot_params(key) for key in keys}
-        need = sum(worst_case_bytes(n, sp) for sp in slots.values())
+        # owner[key]: the slot whose state `key` reads.  A dense state is the
+        # net graph whatever its seed, so every dense slot reads the first one's
+        owner = {key: key for key in slots}
+        dense = [key for key, sp in slots.items()
+                 if stream.dense_slots(n, stream.state_shape(n, sp)[1])]
+        for key in dense:
+            owner[key] = dense[0]
+        held = dict.fromkeys(owner.values())
+        need = sum(worst_case_bytes(n, slots[key]) for key in held)
         if need > POOL_BYTE_CAP:
             raise PoolTooLarge(
-                f"stream pools of {len(slots)} states over {n} vertices could need "
+                f"stream pools of {len(held)} states over {n} vertices could need "
                 f"{need / 2**30:.3g} GiB, above the cap of {POOL_BYTE_CAP / 2**30:.3g} GiB"
             )
-        states = {key: StreamState(n, sp) for key, sp in slots.items()}
-        self._states = {key: st for key, st in states.items() if key[0] != "spare"}
+        states = {key: StreamState(n, slots[key]) for key in held}
+        self.slot_states = {key: states[owner[key]] for key in slots}
         self._spares = {
-            j: [states["spare", j, s] for s in range(spares)]
+            j: [("spare", j, s) for s in range(spares)]
             for j in range(sched.quality_k + 2)
         }
-        self.deg = states["phase1", 1].deg
+        self.deg = self.slot_states["phase1", 1].deg
 
     @classmethod
     def offline(cls, G: Graph, params: DecompParams, sched: Schedule) -> "SparsifierPools":
@@ -242,8 +257,8 @@ class SparsifierPools:
         self.fail_retries = 0
         self._cache: dict[tuple, Graph] = {}
         self._graph: Graph | None = None
-        self._states: dict[tuple, StreamState] = {}
-        self._spares: dict[int, list] = {}
+        self.slot_states: dict[tuple, StreamState] = {}
+        self._spares: dict[int, list[tuple]] = {}
 
     def _slot_params(self, key: tuple) -> SparsifierParams:
         """Sparsifier parameters of slot `key`."""
@@ -257,16 +272,15 @@ class SparsifierPools:
         )
 
     def all_states(self):
-        """The stream states, spares last; none for offline pools."""
-        yield from self._states.values()
-        for states in self._spares.values():
-            yield from states
+        """Each stream state the pools hold once, spares' own states last;
+        none for offline pools."""
+        yield from dict.fromkeys(self.slot_states.values())
 
     def feed(self, upd) -> None:
         self.feed_many([upd])
 
     def feed_many(self, updates) -> None:
-        """Apply the updates to every state, one state at a time.
+        """Apply the updates to every held state, one state at a time.
 
         The states share n, so the first state's check of the pairs rejects
         a bad batch before any state changes.
@@ -298,14 +312,15 @@ class SparsifierPools:
     def _recover(self, key: tuple) -> Graph:
         """The slot's recovered sparsifier, retrying spares of its level."""
         level = _slot_level(key)
-        g = self._states[key].recover_sparsifier()
+        g = self.slot_states[key].recover_sparsifier(self._slot_params(key))
         while g is None:
             if not self._spares[level]:
                 raise SketchFailExhausted(
                     f"stream recovery failed with no spare left (level {level})"
                 )
             self.fail_retries += 1
-            g = self._spares[level].pop(0).recover_sparsifier()
+            key = self._spares[level].pop(0)
+            g = self.slot_states[key].recover_sparsifier(self._slot_params(key))
         return g
 
     def memory_bytes(self) -> int:
@@ -439,12 +454,7 @@ class Decomposer:
             return out
         S = C[out.cut]
         self._check_cut_sparsity(C, S, phi, use_exact)
-        return BalancedCutOutcome(
-            False,
-            cut=S,
-            sparsity_estimate=out.sparsity_estimate,
-            balance=out.balance,
-        )
+        return replace(out, cut=S)
 
     def _check_cut_sparsity(self, C: np.ndarray, S: np.ndarray, phi: float, used_exact: bool):
         """A returned cut must honor its advertised sparsity in G{cluster}."""

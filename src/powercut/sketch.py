@@ -379,7 +379,3 @@ class SparseRecoverySketch:
         if (arrays[2] >= _PRIME).any():
             raise SketchError("snapshot fingerprint outside the field mod 2^61 - 1")
         return cls(params, tuple(arrays))
-
-
-def sketch_new(params: SketchParams) -> SparseRecoverySketch:
-    return SparseRecoverySketch(params)

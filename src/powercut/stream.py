@@ -36,7 +36,9 @@ fingerprints stay reduced mod 2^61 - 1, so a sketch block matches a loop of
 scalar updates bit for bit, and the sketch a dense state builds for a slot
 (`sketch_at`) equals the sketch the same updates would have built.  A sketch
 state recovers the n slots (j_v, v) by `sketch.peel` in groups of at most
-`sketch.WINDOW_CELLS` cells.
+`sketch.WINDOW_CELLS` cells, and hands the pairs it peels to the same rule.
+The net block does not depend on the seed, so one dense state can serve
+every dense sample of a pool, each recovered under its own params.
 """
 
 from __future__ import annotations
@@ -284,18 +286,22 @@ class StreamState:
         index, d = np.concatenate([b, a]), np.concatenate([d, d])
         accumulate(*self._payload, self._seeds, rows, index, d, self.n)
 
-    def recover_sparsifier(self) -> Graph | None:
+    def recover_sparsifier(self, params: SparsifierParams | None = None) -> Graph | None:
         """Recover the weighted sampled graph, or None on any FAIL.
 
         The net edge multiset of a valid stream is a simple graph, so an
         entry other than 1, a peel FAIL or more than k entries in a slot (the
-        k-sparse contract) gives None.  A dense state draws from its net pairs.
+        k-sparse contract) gives None.  A dense state draws from its net pairs
+        under `params` (its own by default): it holds the net graph, which
+        does not depend on the seed, so any number of samples can share it.
+        A sketch state's slots are drawn under its own params; it raises
+        `StreamError` for any other, before it touches a slot.
         """
         if self.dense:
-            u, v = np.nonzero(self._net)
-            upper = u < v
-            u, v = u[upper], v[upper]
-            return _sampled_graph(self.n, self.params, self.deg, u, v, self._net[u, v])
+            u, v = np.nonzero(np.triu(self._net, 1))
+            return _sampled_graph(self.n, params or self.params, self.deg, u, v, self._net[u, v])
+        if params not in (None, self.params):
+            raise StreamError("a sketch state recovers under its own params only")
         j = vertex_levels(self.deg, self.upsilon, self.levels)
         # touches the n slots, and may grow the block: before reading it
         rows = self._rows(j * self.n + np.arange(self.n))
@@ -309,11 +315,13 @@ class StreamState:
             found.append((slot + a, index, value))
             fail |= failed.any()
         v, u, x = map(np.concatenate, zip(*found))
-        if fail or (x != 1).any() or (np.bincount(v, minlength=self.n) > self.k).any():
+        if fail or (np.bincount(v, minlength=self.n) > self.k).any():
             return None
-        keys = np.unique(np.minimum(u, v) * self.n + np.maximum(u, v))
+        # a pair peeled from both endpoints' slots holds one net count; every
+        # pair peeled from slot (j_v, v) has level >= j_v, so the rule keeps it
+        keys, first = np.unique(np.minimum(u, v) * self.n + np.maximum(u, v), return_index=True)
         u, v = np.divmod(keys, self.n)
-        return Graph.from_arrays(self.n, u, v, 2.0 ** np.minimum(j[u], j[v]))
+        return _sampled_graph(self.n, self.params, self.deg, u, v, x[first])
 
     def serialize(self) -> bytes:
         parts = [self.deg.tobytes()]
@@ -340,7 +348,8 @@ def _sampled_graph(n: int, params: SparsifierParams, deg, u, v, count) -> Graph 
     """The sampled graph of the pairs {u[t], v[t]} (u < v) of net counts
     `count[t]`, over vertex degrees `deg`: a pair is kept when its level is
     >= min(j_u, j_v), with weight 2^min(j_u, j_v), in (u, v, w) order.
-    None when a kept pair's count is not 1."""
+    None when a kept pair's count is not 1.  `sample_offline` and both
+    recovery paths of `StreamState` end here."""
     j = vertex_levels(deg, params.upsilon_for(max(n, 1)), top_level(n))
     j_min = np.minimum(j[u], j[v])
     keep = pair_levels(prf(params.seed, _LEVEL_TAG), u, v) >= j_min

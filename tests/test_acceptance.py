@@ -13,6 +13,7 @@ import pytest
 from powercut import (
     DecompParams,
     SketchParams,
+    SparseRecoverySketch,
     SparsifierParams,
     StreamState,
     barbell_graph,
@@ -25,7 +26,6 @@ from powercut import (
     random_regular_graph,
     sample,
     sample_offline,
-    sketch_new,
     verify_decomposition,
 )
 from powercut.experiment import ExperimentConfig, run_experiment
@@ -57,7 +57,7 @@ def test_criterion_1_sketch_exactness():
     cancellation_ok = True
     for t in range(trials):
         params = SketchParams(n, k, p_fail, seed=prf(MASTER_SEED, 1, t))
-        sk = sketch_new(params)
+        sk = SparseRecoverySketch(params)
         size = int(rng.integers(0, k + 1))
         support = rng.choice(n, size=size, replace=False)
         vec = {int(i): 1 for i in support}
@@ -75,7 +75,7 @@ def test_criterion_1_sketch_exactness():
         elif got is not None:
             wrong += 1
         if t % 1000 == 0:
-            clean = sketch_new(params)
+            clean = SparseRecoverySketch(params)
             for i in vec:
                 clean.update(i, +1)
             cancellation_ok = cancellation_ok and sk.serialize() == clean.serialize()

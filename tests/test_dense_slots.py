@@ -5,12 +5,14 @@ the net graph, one count block that holds every slot.  Forcing the sketch
 path through the `stream.dense_slots` predicate must give the same
 serialized state and, where the sketch does not FAIL, the same recovered
 sparsifier and decomposition.  Dense stream pools must also decompose like
-offline pools that draw `sample_offline`.
+offline pools that draw `sample_offline`.  A pool holds one state for all
+its dense slots, and every slot must draw what a state of its own would.
 """
 
 import importlib
 import json
 from contextlib import contextmanager
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -34,6 +36,7 @@ from powercut import stream as stream_mod
 from powercut.cli import main
 from powercut.experiment import ExperimentConfig
 from powercut.prf import prf
+from powercut.stream import StreamError
 
 from conftest import assert_same_graph
 
@@ -147,18 +150,22 @@ def test_bad_entry_below_every_recovery_level_is_not_read():
     assert_same_graph(got, sketched.recover_sparsifier())
 
 
-def test_more_than_k_nonzeros_fails_when_dense_rows_are_forced(monkeypatch):
-    # k = 1 < n is never dense by default; vertex 0 nets degree 0, so it
-    # recovers at level 0, where its row has two nonzeros
-    updates = [StreamUpdate(True, 0, 1), StreamUpdate(False, 0, 2)]
-    sp = SparsifierParams(delta=0.25, eps=0.5, upsilon_override=0.12, seed=1)
-    sketched = StreamState(6, sp)
-    monkeypatch.setattr(stream_mod, "dense_slots", lambda n, k: True)
-    dense = StreamState(6, sp)
-    assert dense.dense and dense.k == 1 and not sketched.dense
-    for state in (dense, sketched):
-        state.process_many(updates)
-        assert state.recover_sparsifier() is None
+def test_more_than_k_nonzeros_fail_on_the_sketch_path():
+    # k = ceil(8Y) = 1 < n.  Vertex 0, joined to the five others, recovers at
+    # the top level 3, and under seed 14 two of its pairs lie there: its
+    # recovery slot holds two nonzeros, both +1, so only k refuses it
+    G = Graph(6, [(0, x) for x in range(1, 6)])
+    sp = SparsifierParams(delta=0.25, eps=0.5, upsilon_override=0.12, seed=14)
+    state = StreamState(G.n, sp)
+    assert not state.dense and state.k == 1
+    state.process_many([StreamUpdate(True, u, v) for u, v, _ in G.edge_list()])
+    j = stream_mod.vertex_levels(state.deg, state.upsilon, state.levels)
+    levels = stream_mod.pair_levels(prf(sp.seed, stream_mod._LEVEL_TAG), G.edge_u, G.edge_v)
+    assert j[0] == 3 and (levels >= j[0]).sum() == 2
+    assert state.recover_sparsifier() is None
+    # with the budget lifted the same slots peel to the offline draw
+    state.k = G.n
+    assert_same_graph(state.recover_sparsifier(), sample_offline(G, sp))
 
 
 def _report_without_memory(report):
@@ -215,6 +222,63 @@ def test_dense_stream_pools_decompose_like_offline_pools(monkeypatch, cliques, c
             assert_same_graph(pools.phase2(j, h), drawn.phase2(j, h))
 
 
+# -- one state per distinct content ---------------------------------------------------
+
+
+@pytest.mark.parametrize("graph, pool_kw, dense_levels", [
+    ("barbell", {}, {0, 1, 2, 3}),
+    # k = ceil(8Y) = n again, but every vertex recovers at level 1, so the
+    # slots' draws differ by seed
+    ("K8", {"upsilon_override": 1.0}, {0, 1, 2, 3}),
+    ("barbell", {"upsilon_override": 0.5}, set()),
+    # phase one has k = 5 and level 1 has k = 6; levels 2 and 3 are dense
+    ("barbell", {"upsilon_scale": 1.778e-7}, {2, 3}),
+], ids=["dense", "dense-sampled", "sketch", "mixed"])
+def test_every_slot_draws_what_a_standalone_state_recovers(graph, pool_kw, dense_levels):
+    B = barbell_graph(2, 4, 1) if graph == "barbell" else Graph(8, [
+        (u, v) for u in range(8) for v in range(u + 1, 8)])
+    params = DecompParams(eps=0.3, quality_k=2, seed=3, **pool_kw)
+    updates = gen_stream(B, churn=0.5, seed=3)
+    pools = SparsifierPools(B.n, params)
+    pools.feed_many(updates)
+    slots = pools.slot_states  # every phase-one, phase-two and spare slot
+    dense = [key for key, state in slots.items() if state.dense]
+    assert {decompose_mod._slot_level(key) for key in dense} == dense_levels
+    held = list(pools.all_states())
+    # never empty: the benchmark divides by this count
+    assert len(held) == len(slots) - len(dense) + (1 if dense else 0) > 0
+    assert len(set(map(id, held))) == len(held)
+    for key, state in slots.items():
+        sp = pools._slot_params(key)
+        alone = StreamState(B.n, sp)
+        alone.process_many(updates)
+        want, got = alone.recover_sparsifier(), state.recover_sparsifier(sp)
+        if want is None:
+            assert got is None
+            continue
+        assert_same_graph(got, want)
+        if key[0] != "spare":
+            fetched = pools.phase1(key[1]) if key[0] == "phase1" else pools.phase2(*key[1:])
+            assert_same_graph(fetched, want)
+
+
+def test_sketch_state_refuses_foreign_params():
+    B = barbell_graph(2, 4, 1)
+    sp = SparsifierParams(delta=0.25, eps=0.5, upsilon_override=0.5, seed=3)
+    state = StreamState(B.n, sp)
+    assert not state.dense
+    state.process_many(gen_stream(B, churn=0.5, seed=1))
+    before = state.memory_bytes()
+    for other in (replace(sp, seed=4), replace(sp, eps=0.25)):
+        with pytest.raises(StreamError):
+            state.recover_sparsifier(other)
+        assert state.memory_bytes() == before
+    # params equal to its own are accepted, and this recovery touches slots
+    # that no update reached
+    assert_same_graph(state.recover_sparsifier(replace(sp)), state.recover_sparsifier())
+    assert state.memory_bytes() > before
+
+
 # -- preflight byte cap ---------------------------------------------------------------
 
 
@@ -254,17 +318,19 @@ def test_cli_run_exits_2_for_pools_over_the_cap(tmp_path, monkeypatch):
     path.write_text(cfg.to_json())
     out = tmp_path / "m.csv"
     assert main(["run", "--config", str(path), "--out-csv", str(out)]) == 0
-    monkeypatch.setattr(decompose_mod, "POOL_BYTE_CAP", 10_000)
+    # the pools hold one net-count state of 8 * 8**2 + 8 * 8 = 576 bytes
+    monkeypatch.setattr(decompose_mod, "POOL_BYTE_CAP", 500)
     assert main(["run", "--config", str(path), "--out-csv", str(out)]) == 2
 
 
 def test_cap_admits_dense_planted_4x50_and_refuses_its_sketch_budget():
     params = DecompParams(eps=0.3, quality_k=2, seed=1)
     pools = SparsifierPools(200, params)
+    # 478 slots, all dense, read one net-count state
     states = list(pools.all_states())
-    assert len(states) == 478 and all(s.dense for s in states)
-    need = sum(stream_mod.worst_case_bytes(200, s.params) for s in states)
-    assert need == 478 * (8 * 200**2 + 8 * 200)
+    assert len(pools.slot_states) == 478 and len(states) == 1 and states[0].dense
+    need = stream_mod.worst_case_bytes(200, states[0].params)
+    assert need == 8 * 200**2 + 8 * 200 == 321_600
     assert pools.memory_bytes() == need
     with sketch_path():
         with pytest.raises(PoolTooLarge):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powercut import SketchParams, SparseRecoverySketch, sketch_new
+from powercut import SketchParams, SparseRecoverySketch
 from powercut.sketch import FIELD_PRIME, ROW_CONSTANT, SketchError
 
 
@@ -26,34 +26,34 @@ def apply_vector(sk, vec, rng=None, shuffle=False):
 
 
 def test_new_sketch_is_zero_and_recovers_empty():
-    s = sketch_new(params())
+    s = SparseRecoverySketch(params())
     assert not s.counts.any() and not s.id_sums.any() and not s.fps.any()
     assert s.recover() == {}
 
 
 def test_equal_params_and_seed_give_identical_state():
-    a = sketch_new(params(seed=99))
-    b = sketch_new(params(seed=99))
+    a = SparseRecoverySketch(params(seed=99))
+    b = SparseRecoverySketch(params(seed=99))
     assert a.serialize() == b.serialize()
 
 
 def test_space_matches_params():
     for p in (0.01, 1e-3, 1e-6):
-        sk = sketch_new(params(n=32, k=5, p=p))
+        sk = SparseRecoverySketch(params(n=32, k=5, p=p))
         rows = math.ceil(ROW_CONSTANT * math.log2(1.0 / p))
         assert sk.counts.shape == (rows, 10)
         assert sk.id_sums.shape == sk.counts.shape == sk.fps.shape
 
 
 def test_insert_delete_cancellation_bit_identical():
-    s = sketch_new(params())
+    s = SparseRecoverySketch(params())
     s.update(5, +1)
     s.update(5, -1)
-    assert s.serialize() == sketch_new(params()).serialize()
+    assert s.serialize() == SparseRecoverySketch(params()).serialize()
 
 
 def test_unit_vector_recovery():
-    s = sketch_new(params(n=8, k=1))
+    s = SparseRecoverySketch(params(n=8, k=1))
     s.update(3, +1)
     assert s.recover() == {3: 1}
 
@@ -61,21 +61,21 @@ def test_unit_vector_recovery():
 def test_update_order_irrelevant():
     rng = np.random.default_rng(4)
     vec = {0: 1, 3: -1, 7: 2}
-    a = sketch_new(params(k=3))
+    a = SparseRecoverySketch(params(k=3))
     apply_vector(a, vec)
-    b = sketch_new(params(k=3))
+    b = SparseRecoverySketch(params(k=3))
     apply_vector(b, vec, rng=rng, shuffle=True)
     assert a.serialize() == b.serialize()
 
 
 def test_update_index_range_checked():
-    s = sketch_new(params())
+    s = SparseRecoverySketch(params())
     with pytest.raises(SketchError):
         s.update(8, +1)
 
 
 def test_numpy_integers_update_like_python_ints():
-    a, b = sketch_new(params()), sketch_new(params())
+    a, b = SparseRecoverySketch(params()), SparseRecoverySketch(params())
     a.update(np.int64(5), np.int32(-1))
     b.update(5, -1)
     assert a.serialize() == b.serialize()
@@ -91,7 +91,7 @@ def test_numpy_integers_update_like_python_ints():
 ], ids=["float-index", "numpy-float-index", "float-delta", "float-indices",
         "float-deltas", "float-array"])
 def test_non_integer_updates_raise_before_any_change(call):
-    s = sketch_new(params())
+    s = SparseRecoverySketch(params())
     s.update(3, 1)
     before = s.serialize()
     with pytest.raises(SketchError):
@@ -102,25 +102,25 @@ def test_non_integer_updates_raise_before_any_change(call):
 
 
 def test_merge_identity_and_cancellation():
-    base = sketch_new(params(k=2))
+    base = SparseRecoverySketch(params(k=2))
     base.update(1, +1)
-    zero = sketch_new(params(k=2))
+    zero = SparseRecoverySketch(params(k=2))
     assert base.merge(zero).serialize() == base.serialize()
 
-    e1 = sketch_new(params(k=2))
+    e1 = SparseRecoverySketch(params(k=2))
     e1.update(1, +1)
-    e2 = sketch_new(params(k=2))
+    e2 = SparseRecoverySketch(params(k=2))
     e2.update(2, +1)
     assert e1.merge(e2).recover() == {1: 1, 2: 1}
 
-    neg = sketch_new(params(k=2))
+    neg = SparseRecoverySketch(params(k=2))
     neg.update(1, -1)
     assert e1.merge(neg).recover() == {}
 
 
 def test_merge_requires_matching_params():
-    a = sketch_new(params(seed=1))
-    b = sketch_new(params(seed=2))
+    a = SparseRecoverySketch(params(seed=1))
+    b = SparseRecoverySketch(params(seed=2))
     with pytest.raises(SketchError):
         a.merge(b)
 
@@ -131,9 +131,9 @@ def test_merge_behaves_as_sum_of_vectors():
         p = params(n=32, k=8, seed=trial)
         va = {int(i): 1 for i in rng.choice(32, size=3, replace=False)}
         vb = {int(i): 1 for i in rng.choice(32, size=3, replace=False)}
-        a = sketch_new(p)
+        a = SparseRecoverySketch(p)
         apply_vector(a, va)
-        b = sketch_new(p)
+        b = SparseRecoverySketch(p)
         apply_vector(b, vb)
         want = {}
         for vec in (va, vb):
@@ -154,7 +154,7 @@ def test_merge_recovers_the_sum_and_equals_one_sketch_fed_both(n, k_frac, seed, 
     noise = data.draw(st.lists(st.integers(0, n - 1), max_size=6))
     ups_a = [(i, v) for i, v in va.items()] + [(i, d) for i in noise for d in (1, -1)]
     ups_b = list(vb.items())
-    a, b, both = (sketch_new(sp) for _ in range(3))
+    a, b, both = (SparseRecoverySketch(sp) for _ in range(3))
     for sk, ups in ((a, ups_a), (b, ups_b), (both, ups_a + ups_b)):
         for i, d in ups:
             sk.update(i, d)
@@ -166,7 +166,7 @@ def test_merge_recovers_the_sum_and_equals_one_sketch_fed_both(n, k_frac, seed, 
 
 
 def test_snapshot_roundtrip_bit_exact():
-    s = sketch_new(params(n=16, k=3, seed=5))
+    s = SparseRecoverySketch(params(n=16, k=3, seed=5))
     s.update(2, +1)
     s.update(9, -1)
     blob = s.serialize()
@@ -176,7 +176,7 @@ def test_snapshot_roundtrip_bit_exact():
 
 
 def snapshot(**kw):
-    s = sketch_new(params(**kw))
+    s = SparseRecoverySketch(params(**kw))
     s.update(3, 1)
     return s
 
@@ -211,9 +211,9 @@ def test_linearity_exact_under_cancellation_noise():
     for trial in range(20):
         p = params(n=64, k=4, seed=trial)
         vec = {int(i): 1 for i in rng.choice(64, size=4, replace=False)}
-        clean = sketch_new(p)
+        clean = SparseRecoverySketch(p)
         apply_vector(clean, vec)
-        noisy = sketch_new(p)
+        noisy = SparseRecoverySketch(p)
         events = [(i, +1) for i in vec]
         for _ in range(10):
             j = int(rng.integers(64))
@@ -234,7 +234,7 @@ def test_oversparse_nets_fail():
     trials = 1000
     for t in range(trials):
         p = SketchParams(256, k, 1e-3, seed=t)
-        s = sketch_new(p)
+        s = SparseRecoverySketch(p)
         for i in rng.choice(256, size=4 * k, replace=False):
             s.update(int(i), +1)
         if s.recover() is None:
@@ -251,7 +251,7 @@ def test_soundness_mass_trials_no_wrong_vector():
     for t in range(trials):
         n, k = 8, 1
         p = SketchParams(n, k, 1e-6, seed=t)
-        s = sketch_new(p)
+        s = SparseRecoverySketch(p)
         support = rng.choice(n, size=int(rng.integers(0, 4)), replace=False)
         vec = {}
         for i in support:
@@ -274,7 +274,7 @@ def test_completeness_rate():
     ok = 0
     for t in range(trials):
         n, k = 64, 4
-        s = sketch_new(SketchParams(n, k, p_fail, seed=t))
+        s = SparseRecoverySketch(SketchParams(n, k, p_fail, seed=t))
         size = int(rng.integers(0, k + 1))
         vec = {int(i): 1 for i in rng.choice(n, size=size, replace=False)}
         apply_vector(s, vec)
