@@ -26,7 +26,7 @@ from powercut.sparsify import edge_probabilities
 G = random_regular_graph(16, 8, seed=4)
 print("input: 8-regular graph on 16 vertices, volume", G.total_volume)
 print("formula oversampling factor at (eps=0.5, delta=0.25, C=1):",
-      round(upsilon(16, 0.5, 0.25, 1.0), 1), "-> every p_e clamps to 1")
+      round(upsilon(16, 0.5, 0.25), 1), "-> every p_e clamps to 1")
 
 params = SparsifierParams(delta=0.25, eps=0.9, upsilon_override=1.2, seed=0)
 print("override Y=1.2 -> mean p_e =", float(edge_probabilities(G, 1.2).mean()))

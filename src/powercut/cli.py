@@ -24,8 +24,7 @@ from .decompose import (
 )
 from .experiment import ExperimentConfig, run_experiment
 from .generators import gen_graph, gen_stream
-from .graph import (BRUTE_FORCE_LIMIT, GraphError, load_graph, load_partition, save_graph,
-                    save_partition)
+from .graph import GraphError, load_graph, load_partition, save_graph, save_partition
 from .sparsify import SparsifierParams, sample
 from .stream import StreamState, load_stream, save_stream
 
@@ -38,8 +37,6 @@ EXIT_SKETCH_FAIL = 3
 def _add_sparsifier_args(p):
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--delta", type=float, default=1.0 / 16.0)
-    p.add_argument("--fail-exponent", type=float, default=1.0)
-    p.add_argument("--upsilon-scale", type=float, default=1.0)
     p.add_argument("--upsilon-override", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)
 
@@ -83,7 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
     dc.add_argument("--eps", type=float, required=True)
     dc.add_argument("--k", type=int, required=True)
     dc.add_argument("--delta", type=float, default=1.0 / 16.0)
-    dc.add_argument("--upsilon-scale", type=float, default=1.0)
     dc.add_argument("--seed", type=int, default=0)
     dc.add_argument("--out", required=True, help="partition file")
     dc.add_argument("--report", help="JSON run report path")
@@ -93,7 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
     vf.add_argument("--partition", required=True)
     vf.add_argument("--phi", type=float, required=True)
     vf.add_argument("--eps", type=float, required=True)
-    vf.add_argument("--exact-limit", type=int, default=BRUTE_FORCE_LIMIT)
     vf.add_argument("--report", help="JSON verification report path")
 
     rn = sub.add_parser("run", help="run an experiment config (JSON)")
@@ -125,8 +120,6 @@ def _sparsifier_params(args) -> SparsifierParams:
     return SparsifierParams(
         delta=args.delta,
         eps=args.eps,
-        fail_exponent=args.fail_exponent,
-        upsilon_scale=args.upsilon_scale,
         upsilon_override=args.upsilon_override,
         seed=args.seed,
     )
@@ -159,7 +152,6 @@ def _cmd_decompose(args) -> int:
         delta=args.delta,
         mode=args.mode,
         seed=args.seed,
-        upsilon_scale=args.upsilon_scale,
     )
     clusters, report = decompose(G, params)
     save_partition(clusters, G.n, args.out)
@@ -172,7 +164,7 @@ def _cmd_decompose(args) -> int:
 def _cmd_verify(args) -> int:
     G = load_graph(args.graph)
     clusters = load_partition(args.partition, G.n)
-    rep = verify_decomposition(G, clusters, args.eps, args.phi, exact_limit=args.exact_limit)
+    rep = verify_decomposition(G, clusters, args.eps, args.phi)
     if args.report:
         with open(args.report, "w") as f:
             f.write(rep.to_json() + "\n")

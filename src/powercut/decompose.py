@@ -11,8 +11,9 @@ Each phase consumes sparsifiers from its own slots of one `SparsifierPools`:
 one per recursion depth for phase one, one per (outer, inner) iteration for
 phase two, shared across all phase-two invocations.  A slot's sparsifier is
 either an offline sample of the input graph or recovered, under the slot's
-own parameters, from a stream state that saw the whole update stream: one
-net-count state serves every dense slot, and each sketch slot has its own.
+own parameters, from a stream state that saw the whole update stream: a
+dense pool's one net-count state serves every slot, and a sketch pool gives
+each slot a state of its own.
 
 Termination and quality bounds (recursion depth, iteration counts, the
 sparse-cut composition property, the singleton volume budget, per-cluster
@@ -47,7 +48,7 @@ from .graph import (
 )
 from .prf import prf
 from .sparsify import SparsifierParams, sample
-from .stream import StreamState, update_arrays, worst_case_bytes
+from .stream import StreamError, StreamState, update_arrays, worst_case_bytes
 
 # prf tag of each slot kind: slot (kind, *index) samples with seed
 # prf(params.seed, tag, *index)
@@ -82,7 +83,7 @@ class DecompositionInvariantError(RuntimeError):
 class DecompParams:
     """What a decomposition run is given: the intercluster budget eps, the
     trade-off integer k (`quality_k`), the sparsifier's delta, the cut
-    procedure (`mode`), the master seed, and the oversampling knobs passed
+    procedure (`mode`), the master seed, and the `upsilon_override` passed
     to every slot's `SparsifierParams`.  `make_schedule` derives the rest."""
 
     eps: float
@@ -90,7 +91,6 @@ class DecompParams:
     delta: float = 1.0 / 16.0
     mode: str = EXACT_MODE
     seed: int = 0
-    upsilon_scale: float = 1.0
     upsilon_override: float | None = None
 
     def __post_init__(self):
@@ -192,18 +192,23 @@ class SparsifierPools:
 
     * `SparsifierPools(n, params, spares)` gives every slot, and `spares`
       spare slots ("spare", j, s) per accuracy level j, a `StreamState`.  A
-      dense state (`stream.dense_slots`) is the net graph whatever its seed,
-      so all dense slots share the first one's state and each recovers from
-      it under its own parameters; a sketch slot (k < n) keeps a state of its
-      own.  The pools are built before the stream (the slot count comes from
-      the volume upper bound), fed every update, and handed to `decompose`
-      afterwards.  A FAIL during recovery consumes a spare of the slot's
-      level; running out raises `SketchFailExhausted`.  Before any state
-      exists they add up what every held state would hold once all its slots
-      are touched (`stream.worst_case_bytes`) and raise `PoolTooLarge` above
-      `POOL_BYTE_CAP`, so a configuration that needs gigabytes fails at once
-      instead of exhausting memory during the feed.  `slot_states` maps
-      every slot key, spares included, to the state it reads.
+      slot's sparsity budget k never falls as its eps falls, so phase one's
+      slots have the smallest k and decide for the whole pool (`dense`): a
+      dense pool (`stream.dense_slots`) holds one state, the net graph
+      whatever its seed, from which every slot recovers under its own
+      parameters; otherwise each slot keeps a sketch state of its own.  The
+      pools are built before the stream (the slot count comes from the
+      volume upper bound), fed every update, and handed to `decompose`
+      afterwards.  A sketch FAIL during recovery consumes a spare of the
+      slot's level; running out raises `SketchFailExhausted`.  A dense pool
+      fails only when the fed stream's net graph is not simple, which every
+      spare would read again, so it raises `StreamError` instead.  Before
+      any state exists they add up what every held state would hold once all
+      its slots are touched (`stream.worst_case_bytes`) and raise
+      `PoolTooLarge` above `POOL_BYTE_CAP`, so a configuration that needs
+      gigabytes fails at once instead of exhausting memory during the feed.
+      `slot_states` maps every slot key, spares included, to the state it
+      reads.
     * `SparsifierPools.offline(G, params, sched)` samples G with the slot's
       parameters; `decompose` builds it from a Graph source.
 
@@ -218,23 +223,20 @@ class SparsifierPools:
         keys += [("phase2", j, h) for j in range(1, sched.quality_k + 2)
                  for h in range(1, sched.alg2_pool_size + 1)]
         keys += [("spare", j, s) for j in range(sched.quality_k + 2) for s in range(spares)]
-        slots = {key: self._slot_params(key) for key in keys}
-        # owner[key]: the slot whose state `key` reads.  A dense state is the
-        # net graph whatever its seed, so every dense slot reads the first one's
-        owner = {key: key for key in slots}
-        dense = [key for key, sp in slots.items()
-                 if stream.dense_slots(n, stream.state_shape(n, sp)[1])]
-        for key in dense:
-            owner[key] = dense[0]
-        held = dict.fromkeys(owner.values())
-        need = sum(worst_case_bytes(n, slots[key]) for key in held)
+        # Y = upsilon_override, or the formula's Y that grows as eps = psi(j)
+        # falls: slot ("phase1", 1), at psi(0), has the smallest k
+        first = self._slot_params(keys[0])
+        self.dense = stream.dense_slots(n, stream.state_shape(n, first)[1])
+        held = [first] if self.dense else [self._slot_params(key) for key in keys]
+        need = sum(worst_case_bytes(n, sp) for sp in held)
         if need > POOL_BYTE_CAP:
             raise PoolTooLarge(
                 f"stream pools of {len(held)} states over {n} vertices could need "
                 f"{need / 2**30:.3g} GiB, above the cap of {POOL_BYTE_CAP / 2**30:.3g} GiB"
             )
-        states = {key: StreamState(n, slots[key]) for key in held}
-        self.slot_states = {key: states[owner[key]] for key in slots}
+        states = [StreamState(n, sp) for sp in held]
+        # a dense pool's one state serves every slot
+        self.slot_states = dict(zip(keys, states * len(keys) if self.dense else states))
         self._spares = {
             j: [("spare", j, s) for s in range(spares)]
             for j in range(sched.quality_k + 2)
@@ -266,7 +268,6 @@ class SparsifierPools:
         return SparsifierParams(
             delta=p.delta,
             eps=self.sched.psi(_slot_level(key)),
-            upsilon_scale=p.upsilon_scale,
             upsilon_override=p.upsilon_override,
             seed=prf(p.seed, _SLOT_TAGS[key[0]], *key[1:]),
         )
@@ -314,6 +315,9 @@ class SparsifierPools:
         level = _slot_level(key)
         g = self.slot_states[key].recover_sparsifier(self._slot_params(key))
         while g is None:
+            if self.dense:
+                raise StreamError(f"slot {key} reads a pair whose net count is not 1: "
+                                  f"the fed stream's net graph is not simple")
             if not self._spares[level]:
                 raise SketchFailExhausted(
                     f"stream recovery failed with no spare left (level {level})"
@@ -463,11 +467,8 @@ class Decomposer:
         mask = np.zeros(self.reference.n, dtype=bool)
         mask[C] = True
         actual = _phi_within(self.reference, mask, S)
-        d = self.params.delta
-        if used_exact:
-            bound = (1.0 + 5.0 * d) * phi
-        else:
-            bound = (1.0 + 6.0 * d) * self.sched.alpha * phi
+        alpha, d = self.sched.alpha, self.params.delta
+        bound = alpha * phi if used_exact else (1.0 + 6.0 * d) * alpha * phi
         if actual > bound * (1.0 + REL_SLACK) + 1e-12:
             raise DecompositionInvariantError(
                 f"returned cut has sparsity {actual:.6g} > bound {bound:.6g}"
@@ -614,10 +615,10 @@ def decompose(source, params: DecompParams, reference_graph: Graph | None = None
     return clusters, rep
 
 
-def _cluster_verdict(G: Graph, C: np.ndarray, phi: float, exact_limit: int) -> ClusterVerdict:
+def _cluster_verdict(G: Graph, C: np.ndarray, phi: float) -> ClusterVerdict:
     C = np.asarray(C, dtype=np.int64)
     sub = G.induce_with_loops(C)
-    if C.size <= exact_limit:
+    if C.size <= BRUTE_FORCE_LIMIT:
         min_phi, _ = min_conductance_bruteforce(sub)
         passed = min_phi >= phi * (1.0 - REL_SLACK)
         value = None if math.isinf(min_phi) else float(min_phi)
@@ -630,19 +631,18 @@ def _cluster_verdict(G: Graph, C: np.ndarray, phi: float, exact_limit: int) -> C
                           bool(actual >= phi * (1.0 - REL_SLACK)))
 
 
-def verify_decomposition(G: Graph, clusters, eps: float, phi: float,
-                         exact_limit: int = BRUTE_FORCE_LIMIT) -> VerifyReport:
+def verify_decomposition(G: Graph, clusters, eps: float, phi: float) -> VerifyReport:
     """Check the (eps, phi)-expander-decomposition property of a partition.
 
     Intercluster volume is exact; per-cluster expansion is exact up to
-    `exact_limit` vertices and falls back to a sweep-based estimate above
-    (flagged via `exact=False` in the verdicts).
+    `BRUTE_FORCE_LIMIT` vertices and falls back to a sweep-based estimate
+    above (flagged via `exact=False` in the verdicts).
     """
     norm = check_partition(G, clusters)
     total = G.total_volume
     icv = intercluster_volume(G, norm)
     volume_ok = icv <= eps * total * (1.0 + REL_SLACK) + 1e-12
-    verdicts = [_cluster_verdict(G, C, phi, exact_limit) for C in norm]
+    verdicts = [_cluster_verdict(G, C, phi) for C in norm]
     ok = volume_ok and all(v.passed for v in verdicts)
     return VerifyReport(
         ok=bool(ok),

@@ -59,9 +59,7 @@ class ExperimentConfig:
     def from_json(cls, text: str) -> "ExperimentConfig":
         data = json.loads(text)
         _check_keys(data, [f.name for f in fields(cls)], ("generator", "decomp"), "config")
-        for key, (ok, what) in _VALUE_RULES.items():
-            if key in data and not ok(data[key]):
-                raise ValueError(f"{key} must be {what}, got {data[key]!r}")
+        _check_values(data, _VALUE_RULES, "")
         return cls(**data)
 
 
@@ -69,15 +67,38 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-# what each config value must be, as JSON parses it
+def _is_number(x) -> bool:
+    return _is_int(x) or isinstance(x, float)
+
+
+# what each config value must be, as JSON parses it: top-level values, and
+# values inside `decomp` and `stream`
 _VALUE_RULES = {
     "trials": (lambda x: _is_int(x) and x >= 0, "an integer >= 0"),
     "seed": (_is_int, "an integer"),
     "record_timing": (lambda x: isinstance(x, bool), "true or false"),
-    "verify_phi": (lambda x: x is None or _is_int(x) or isinstance(x, float), "a number or null"),
+    "verify_phi": (lambda x: x is None or _is_number(x), "a number or null"),
     "generator": (lambda x: isinstance(x, dict), "a JSON object"),
     "stream": (lambda x: x is None or isinstance(x, dict), "a JSON object or null"),
 }
+_DECOMP_RULES = {
+    "eps": (_is_number, "a number"),
+    "delta": (_is_number, "a number"),
+    "quality_k": (_is_int, "an integer"),
+    "upsilon_override": (lambda x: x is None or _is_number(x), "a number or null"),
+}
+_STREAM_RULES = {
+    "churn": (_is_number, "a number"),
+    "spares": (lambda x: _is_int(x) and x >= 0, "an integer >= 0"),
+}
+
+
+def _check_values(section: dict, rules: dict, prefix: str) -> None:
+    """Raise ValueError naming `prefix` + key for the first value of
+    `section` that breaks its rule."""
+    for key, (ok, what) in rules.items():
+        if key in section and not ok(section[key]):
+            raise ValueError(f"{prefix}{key} must be {what}, got {section[key]!r}")
 
 
 def _check_keys(section, known, required, where: str) -> None:
@@ -111,8 +132,10 @@ def run_trial(config: ExperimentConfig, trial: int) -> TrialResult:
     # the trial derives the decomposition seed itself
     _check_keys(config.decomp, [f.name for f in fields(DecompParams) if f.name != "seed"],
                ("eps", "quality_k"), "decomp")
+    _check_values(config.decomp, _DECOMP_RULES, "decomp.")
     if config.stream is not None:
         _check_keys(config.stream, ("churn", "spares"), (), "stream")
+        _check_values(config.stream, _STREAM_RULES, "stream.")
     trial_seed = prf(config.seed, _TRIAL_TAG, trial) & ((1 << 62) - 1)
     gen = dict(config.generator)
     model = gen.pop("model")
@@ -124,7 +147,7 @@ def run_trial(config: ExperimentConfig, trial: int) -> TrialResult:
 
     start = time.perf_counter()
     if config.stream is not None:
-        pools = SparsifierPools(G.n, params, spares=int(config.stream.get("spares", 1)))
+        pools = SparsifierPools(G.n, params, spares=config.stream.get("spares", 1))
         updates = gen_stream(G, config.stream.get("churn", 0.0), seed=prf(trial_seed, 2))
         pools.feed_many(updates)
         clusters, report = decompose(pools, params, reference_graph=G)

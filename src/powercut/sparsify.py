@@ -3,8 +3,8 @@
 The sampler keeps each edge {u, v} independently with probability
 ``p_e = min(1, Y * (1/deg(u) + 1/deg(v)))`` and weight ``1/p_e``, where Y is
 the oversampling factor.  At the default (formula) Y this is extremely
-conservative at small n (all p_e = 1); tests shrink Y through the override
-knobs to make the subsampling observable.
+conservative at small n (all p_e = 1); tests shrink Y through
+`upsilon_override` to make the subsampling observable.
 
 The checkers enumerate every nontrivial cut (so they only run on clusters of
 at most 22 vertices) and validate the multiplicative/additive sparsifier
@@ -21,29 +21,31 @@ import numpy as np
 from .graph import BRUTE_FORCE_LIMIT, REL_SLACK, Graph, GraphError, check_partition, enumerate_cut_stats, mask_to_set
 
 
-def upsilon(n: int, eps: float, delta: float, fail_exponent: float) -> float:
-    """Oversampling factor 6(C+2)/(delta*eps) * 2*log2(n) * ln(n)."""
+# C in the n^-C failure probability the oversampling factor is sized for
+FAIL_EXPONENT = 1.0
+
+
+def upsilon(n: int, eps: float, delta: float) -> float:
+    """Oversampling factor 6(C+2)/(delta*eps) * 2*log2(n) * ln(n), with C =
+    `FAIL_EXPONENT`."""
     if n < 2:
         raise GraphError("upsilon needs n >= 2")
     return (
-        6.0 * (fail_exponent + 2.0) / (delta * eps)
+        6.0 * (FAIL_EXPONENT + 2.0) / (delta * eps)
         * 2.0 * math.log2(n) * math.log(n)
     )
 
 
 @dataclass(frozen=True)
 class SparsifierParams:
-    """(delta, eps) error targets plus the oversampling configuration.
+    """(delta, eps) error targets, the oversampling factor and the seed.
 
-    The effective oversampling factor is `upsilon_override` when set, else
-    `upsilon_scale` times the formula value.  `fail_exponent` is the C in the
-    n^-C failure probability.
+    The oversampling factor Y is `upsilon_override` when set, else the
+    formula value `upsilon(n, eps, delta)`.
     """
 
     delta: float
     eps: float
-    fail_exponent: float = 1.0
-    upsilon_scale: float = 1.0
     upsilon_override: float | None = None
     seed: int = 0
 
@@ -52,15 +54,13 @@ class SparsifierParams:
             raise GraphError("need delta in (0, 1)")
         if not (0.0 < self.eps < 1.0):
             raise GraphError("need eps in (0, 1)")
-        if self.upsilon_scale <= 0:
-            raise GraphError("upsilon_scale must be positive")
         if self.upsilon_override is not None and self.upsilon_override <= 0:
             raise GraphError("upsilon_override must be positive")
 
     def upsilon_for(self, n: int) -> float:
         if self.upsilon_override is not None:
             return self.upsilon_override
-        return self.upsilon_scale * upsilon(max(n, 2), self.eps, self.delta, self.fail_exponent)
+        return upsilon(max(n, 2), self.eps, self.delta)
 
 
 def edge_probabilities(G: Graph, ups: float) -> np.ndarray:

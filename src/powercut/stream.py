@@ -53,7 +53,7 @@ from .graph import Graph
 from .prf import MASK64, leading_ones_array, mix64, prf, prf_array
 from .sketch import (WINDOW_CELLS, SketchParams, SparseRecoverySketch, accumulate, int_array,
                      peel, sketch_fp_bases, sketch_row_seeds)
-from .sparsify import SparsifierParams
+from .sparsify import FAIL_EXPONENT, SparsifierParams
 
 _LEVEL_TAG = 0x4C76
 _SKETCH_TAG = 0x536B
@@ -111,9 +111,10 @@ def top_level(n: int) -> int:
 
 def state_shape(n: int, params: SparsifierParams) -> tuple[int, int, float]:
     """(top level, sparsity budget k, per-sketch failure probability) of a
-    `StreamState` over n vertices."""
+    `StreamState` over n vertices: k = min(n, ceil(8Y)) and n^-(C+3) = n^-4,
+    with C = `sparsify.FAIL_EXPONENT`."""
     k = min(n, max(1, math.ceil(8.0 * params.upsilon_for(n))))
-    return top_level(n), k, float(max(n, 2)) ** (-(params.fail_exponent + 3.0))
+    return top_level(n), k, float(max(n, 2)) ** (-(FAIL_EXPONENT + 3.0))
 
 
 def dense_slots(n: int, k: int) -> bool:
@@ -152,9 +153,10 @@ class StreamState:
 
     Holds n degree counters and (levels+1) x n slots (i, v), v's net
     adjacency over the pairs of level >= i, with sparsity budget k = min(n,
-    ceil(8Y)) and per-sketch failure probability n^-(C+3).  State is linear:
-    it depends only on the net edge multiset.  Its randomness, pair levels
-    and slot sketch seeds, derives from `params.seed` alone.
+    ceil(8Y)) and per-sketch failure probability n^-(C+3) = n^-4, with C =
+    `sparsify.FAIL_EXPONENT`.  State is linear: it depends only on the net
+    edge multiset.  Its randomness, pair levels and slot sketch seeds,
+    derives from `params.seed` alone.
 
     When k == n (`dense_slots`, decided once here and kept in `dense`), one
     (n, n) int64 net block holds every slot; otherwise each touched slot is a

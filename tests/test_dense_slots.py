@@ -5,8 +5,8 @@ the net graph, one count block that holds every slot.  Forcing the sketch
 path through the `stream.dense_slots` predicate must give the same
 serialized state and, where the sketch does not FAIL, the same recovered
 sparsifier and decomposition.  Dense stream pools must also decompose like
-offline pools that draw `sample_offline`.  A pool holds one state for all
-its dense slots, and every slot must draw what a state of its own would.
+offline pools that draw `sample_offline`.  A dense pool holds one state for
+all its slots, and every slot must draw what a state of its own would.
 """
 
 import importlib
@@ -231,9 +231,7 @@ def test_dense_stream_pools_decompose_like_offline_pools(monkeypatch, cliques, c
     # slots' draws differ by seed
     ("K8", {"upsilon_override": 1.0}, {0, 1, 2, 3}),
     ("barbell", {"upsilon_override": 0.5}, set()),
-    # phase one has k = 5 and level 1 has k = 6; levels 2 and 3 are dense
-    ("barbell", {"upsilon_scale": 1.778e-7}, {2, 3}),
-], ids=["dense", "dense-sampled", "sketch", "mixed"])
+], ids=["dense", "dense-sampled", "sketch"])
 def test_every_slot_draws_what_a_standalone_state_recovers(graph, pool_kw, dense_levels):
     B = barbell_graph(2, 4, 1) if graph == "barbell" else Graph(8, [
         (u, v) for u in range(8) for v in range(u + 1, 8)])
@@ -244,9 +242,11 @@ def test_every_slot_draws_what_a_standalone_state_recovers(graph, pool_kw, dense
     slots = pools.slot_states  # every phase-one, phase-two and spare slot
     dense = [key for key, state in slots.items() if state.dense]
     assert {decompose_mod._slot_level(key) for key in dense} == dense_levels
+    # a pool is dense or sketched as a whole
+    assert len(dense) == (len(slots) if pools.dense else 0)
     held = list(pools.all_states())
     # never empty: the benchmark divides by this count
-    assert len(held) == len(slots) - len(dense) + (1 if dense else 0) > 0
+    assert len(held) == (1 if pools.dense else len(slots))
     assert len(set(map(id, held))) == len(held)
     for key, state in slots.items():
         sp = pools._slot_params(key)
@@ -260,6 +260,21 @@ def test_every_slot_draws_what_a_standalone_state_recovers(graph, pool_kw, dense
         if key[0] != "spare":
             fetched = pools.phase1(key[1]) if key[0] == "phase1" else pools.phase2(*key[1:])
             assert_same_graph(fetched, want)
+
+
+@pytest.mark.parametrize("upsilon_override, seed", [(None, s) for s in range(1, 7)] + [(1.0, 2)])
+def test_dense_pool_refuses_a_stream_whose_net_graph_is_not_simple(upsilon_override, seed):
+    # a present edge inserted again: net count 2.  Every spare of a dense pool
+    # reads the same net graph, so none is tried
+    B = barbell_graph(2, 4, 1)
+    params = DecompParams(eps=0.3, quality_k=2, seed=seed, upsilon_override=upsilon_override)
+    pools = SparsifierPools(B.n, params, spares=3)
+    assert pools.dense
+    updates = gen_stream(B, churn=0.0, seed=seed)
+    pools.feed_many(updates + updates[:1])
+    with pytest.raises(StreamError):
+        decompose(pools, params, reference_graph=B)
+    assert pools.fail_retries == 0
 
 
 def test_sketch_state_refuses_foreign_params():

@@ -27,6 +27,7 @@ from powercut import generators
 from powercut.cli import main
 from powercut.experiment import ExperimentConfig, run_experiment
 from powercut.graph import load_graph, save_graph
+from powercut.stream import save_stream
 
 from conftest import assert_same_graph
 
@@ -380,7 +381,8 @@ BAD_CONFIGS = {
     "unknown-key": (bad_config(trails=2), "'trails'"),
     "missing-key": (bad_config(drop="decomp"), "'decomp'"),
     **{f"decomp-{key}": (bad_decomp(**{key: 1}), repr(key))
-       for key in ("alpha", "b", "o_vol", "exact_cut_limit", "fail_exponent", "seed")},
+       for key in ("alpha", "b", "o_vol", "exact_cut_limit", "fail_exponent", "upsilon_scale",
+                   "seed")},
     "fractional-k": (bad_decomp(quality_k=2.5), "quality_k"),
     "fractional-k-stream": (dict(bad_decomp(quality_k=2.5), stream={"churn": 0.5}),
                             "quality_k"),
@@ -412,6 +414,14 @@ BAD_VALUES = {
     "verify-phi-string": (bad_config(verify_phi="x"), "verify_phi"),
     "generator-number": (bad_config(generator=5), "generator"),
     "stream-number-no-trials": (bad_config(stream=0.5, trials=0), "stream"),
+    "decomp-eps-string": (bad_decomp(eps="0.3"), "decomp.eps"),
+    "decomp-delta-string": (bad_decomp(delta="0.05"), "decomp.delta"),
+    "decomp-upsilon-override-string": (bad_decomp(upsilon_override="4"),
+                                       "decomp.upsilon_override"),
+    "decomp-quality-k-bool": (bad_decomp(quality_k=True), "decomp.quality_k"),
+    "stream-churn-string": (bad_config(stream={"churn": "0.5"}), "stream.churn"),
+    "stream-spares-negative": (bad_config(stream={"churn": 0.5, "spares": -1}), "stream.spares"),
+    "stream-spares-float": (bad_config(stream={"churn": 0.5, "spares": 1.7}), "stream.spares"),
 }
 
 
@@ -421,6 +431,26 @@ def test_cli_run_rejects_config_value_of_wrong_type(tmp_path, capsys, config, ke
     cfg.write_text(json.dumps(config))
     assert main(["run", "--config", str(cfg), "--out-csv", str(tmp_path / "m.csv")]) == 2
     assert f"{key} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sparsify", "--graph", "g.txt", "--eps", "0.5", "--upsilon-scale", "0.5", "--out", "h.txt"],
+    ["sketch", "--stream", "s.txt", "--eps", "0.5", "--fail-exponent", "2", "--out", "h.txt"],
+    ["decompose", "--graph", "g.txt", "--eps", "0.3", "--k", "2", "--upsilon-scale", "0.5",
+     "--out", "p.txt"],
+    ["verify", "--graph", "g.txt", "--partition", "p.txt", "--eps", "0.3", "--phi", "0.01",
+     "--exact-limit", "4"],
+], ids=["sparsify-upsilon-scale", "sketch-fail-exponent", "decompose-upsilon-scale",
+        "verify-exact-limit"])
+def test_cli_refuses_removed_options(tmp_path, monkeypatch, argv):
+    # Y has one rule (the formula or --upsilon-override) and verify one exact
+    # limit; the files exist, so only the option is refused
+    monkeypatch.chdir(tmp_path)
+    B = barbell_graph(2, 4, 1)
+    save_graph(B, "g.txt")
+    save_stream(B.n, gen_stream(B, churn=0.0, seed=1), "s.txt")
+    Path("p.txt").write_text("".join(f"{v} {v // 4}\n" for v in range(8)))
+    assert main(argv) == 2
 
 
 def test_readme_cli_block_runs(tmp_path, monkeypatch):

@@ -22,18 +22,18 @@ from conftest import assert_same_graph
 
 def test_upsilon_value_frozen():
     # 6*(1+2)/(0.5*0.5) * 2*log2(16) * ln(16), computed stepwise
-    assert upsilon(16, 0.5, 0.5, 1.0) == pytest.approx(1597.011104010114, rel=1e-12)
-    assert upsilon(2, 0.5, 0.5, 1.0) == pytest.approx(99.81319400063212, rel=1e-12)
+    assert upsilon(16, 0.5, 0.5) == pytest.approx(1597.011104010114, rel=1e-12)
+    assert upsilon(2, 0.5, 0.5) == pytest.approx(99.81319400063212, rel=1e-12)
 
 
 def test_upsilon_linear_in_inverse_eps():
-    base = upsilon(64, 0.4, 0.3, 2.0)
-    assert upsilon(64, 0.2, 0.3, 2.0) == pytest.approx(2.0 * base, rel=1e-12)
+    base = upsilon(64, 0.4, 0.3)
+    assert upsilon(64, 0.2, 0.3) == pytest.approx(2.0 * base, rel=1e-12)
 
 
 def test_upsilon_requires_two_vertices():
     with pytest.raises(GraphError):
-        upsilon(1, 0.5, 0.5, 1.0)
+        upsilon(1, 0.5, 0.5)
 
 
 def test_edge_probability_cases():
