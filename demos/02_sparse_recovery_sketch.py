@@ -1,8 +1,10 @@
 """The k-sparse recovery sketch: linear, mergeable, exact or FAIL.
 
 A sketch compresses an integer vector under a stream of +-1 updates into
-O(k log(1/p) log n) space.  If the net vector has at most k nonzeros it
-comes back exactly (with probability 1-p); denser vectors report FAIL.
+R rows of 2k buckets, with R - 1 the least r where
+max(1, C(k, 2)) * (2k)^-r <= p: about the chance that two of k items share
+a bucket in every row.  If the net vector has at most k nonzeros it comes
+back exactly (with probability 1-p); denser vectors report FAIL.
 Linearity is the whole point: deletions are just negative updates, and two
 sketches of the same shape add.
 """

@@ -20,14 +20,15 @@ print(f"target graph: n=64, {G.num_edges} edges, max degree {int(G.deg.max())}")
 
 params = SparsifierParams(delta=0.25, eps=0.5, upsilon_override=4.0, seed=99)
 state = StreamState(64, params)
-print(f"stream state: k={state.k}, levels 0..{state.levels}, "
-      f"{state.bucket_budget()} buckets budgeted")
+print(f"stream state: k={state.k}, levels 0..{state.levels}")
 
 updates = gen_stream(G, churn=1.0, seed=5)
 ins = sum(1 for u in updates if u.insert)
 print(f"stream: {len(updates)} updates ({ins} inserts, {len(updates) - ins} deletes)")
 state.process_many(updates)
 print("degree counters exact:", np.array_equal(state.deg, G.deg.astype(np.int64)))
+print(f"state holds {state.memory_bytes()} bytes: the sketch slots the stream touched, "
+      f"and the degree counters")
 
 H = state.recover_sparsifier()
 if H is None:

@@ -60,6 +60,13 @@ class ExperimentConfig:
         data = json.loads(text)
         _check_keys(data, [f.name for f in fields(cls)], ("generator", "decomp"), "config")
         _check_values(data, _VALUE_RULES, "")
+        # the trial derives the decomposition seed itself
+        _check_keys(data["decomp"], [f.name for f in fields(DecompParams) if f.name != "seed"],
+                    ("eps", "quality_k"), "decomp")
+        _check_values(data["decomp"], _DECOMP_RULES, "decomp.")
+        if data.get("stream") is not None:
+            _check_keys(data["stream"], ("churn", "spares"), (), "stream")
+            _check_values(data["stream"], _STREAM_RULES, "stream.")
         return cls(**data)
 
 
@@ -129,13 +136,6 @@ def _worker_count() -> int:
 
 
 def run_trial(config: ExperimentConfig, trial: int) -> TrialResult:
-    # the trial derives the decomposition seed itself
-    _check_keys(config.decomp, [f.name for f in fields(DecompParams) if f.name != "seed"],
-               ("eps", "quality_k"), "decomp")
-    _check_values(config.decomp, _DECOMP_RULES, "decomp.")
-    if config.stream is not None:
-        _check_keys(config.stream, ("churn", "spares"), (), "stream")
-        _check_values(config.stream, _STREAM_RULES, "stream.")
     trial_seed = prf(config.seed, _TRIAL_TAG, trial) & ((1 << 62) - 1)
     gen = dict(config.generator)
     model = gen.pop("model")

@@ -6,11 +6,17 @@ with high probability; otherwise it almost always reports FAIL (returned as
 None).  It never returns a wrong vector except on a fingerprint collision,
 which happens with probability ~ n / 2^61 per check.
 
-Layout: R = ceil(2 * log2(1/p)) hash rows of 2k buckets each.  A bucket
-accumulates (count, id_sum, fingerprint) where the fingerprint lives in the
-prime field mod 2^61 - 1 and accumulates value * r^index for a seeded field
-element r.  State is linear in the update stream, so sketches with equal
-parameters and seed can be merged bucket-wise.
+Layout: R hash rows of 2k buckets each, where R - 1 is the least r with
+max(1, C(k, 2)) * (2k)^-r <= p (`SketchParams.rows`).  A peel of at most k
+items fails mainly when two of them share a bucket in every row, which has
+probability about C(k, 2) * (2k)^-R (the peeling analysis of invertible
+Bloom lookup tables); the extra row is margin for what that bound leaves
+out, such as three or more items that block each other.  Soundness does not
+rest on R but on the fingerprint.  A bucket accumulates (count, id_sum,
+fingerprint) where the fingerprint lives in the prime field mod 2^61 - 1 and
+accumulates value * r^index for a seeded field element r.  State is linear
+in the update stream, so sketches with equal parameters and seed can be
+merged bucket-wise.
 Sketches of one shape stack into (S, R, B) blocks: `accumulate` adds items
 to a block and `peel` recovers all its sketches at once, both through
 `_add_cells`; `update_many` and `recover` run them on a block of one.
@@ -29,15 +35,23 @@ from .prf import MASK64, mix64, mix64_array, prf, prf_array
 
 FIELD_PRIME = (1 << 61) - 1
 
-# rows per sketch: R = ceil(ROW_CONSTANT * log2(1/p)); calibrated by test
-ROW_CONSTANT = 2.0
-
 _ROW_TAG = 0x526F77
 _FP_TAG = 0x467050
 
 
 class SketchError(ValueError):
     pass
+
+
+def _decimal_ratio(x: float) -> tuple[int, int]:
+    """(num, den) of the decimal that repr(x) prints, for x > 0: 1e-06
+    gives (1, 10**6) and 0.0125 gives (125, 10**4).  Exact, where
+    `x.as_integer_ratio()` would give the binary double just below 1e-06;
+    and unlike `fractions.Fraction(repr(x))` it adds no import."""
+    mantissa, _, exp = repr(x).partition("e")
+    whole, _, frac = mantissa.partition(".")
+    num, shift = int(whole + frac), int(exp or 0) - len(frac)
+    return (num * 10**shift, 1) if shift >= 0 else (num, 10**-shift)
 
 
 @dataclass(frozen=True)
@@ -55,7 +69,18 @@ class SketchParams:
 
     @property
     def rows(self) -> int:
-        return math.ceil(ROW_CONSTANT * math.log2(1.0 / self.failure_prob))
+        """1 + the least r with max(1, C(k, 2)) * (2k)^-r <= p, in exact
+        rationals, p read as the decimal it prints as: at k = 5 and p = 1e-3
+        the bound is met with equality at r = 4, which a float log ratio
+        may round either way.  At k = 1 no pair can collide, and the floor
+        of one pair still gives ceil(log2(1/p)) + 1 rows."""
+        # p = num / den, so the test is num * (2k)^r >= pairs * den
+        num, den = _decimal_ratio(self.failure_prob)
+        need, reach, r = max(1, math.comb(self.sparsity_budget, 2)) * den, num, 0
+        while reach < need:
+            reach *= self.buckets_per_row
+            r += 1
+        return r + 1
 
     @property
     def buckets_per_row(self) -> int:

@@ -10,7 +10,10 @@ At the end of the stream each vertex v picks the level
 ``j_v = max(0, floor(log2(deg(v) / (2Y))))`` and recovers its neighborhood
 there; the union of recovered stars, with edge {u, v} weighted
 ``2^min(j_u, j_v)``, is exactly the subsampled graph that `sample_offline`
-computes directly from the final edge set under the same seed.
+computes directly from the final edge set under the same seed.  A vertex of
+a simple graph has degree at most n - 1, so j_v never exceeds the level cap
+L* = floor(log2((n - 1) / 2Y)) (`level_cap`, at most ceil(log2 n)): a state
+keeps levels 0..L* only, and every recovery caps j_v there too.
 
 Layout.  What a state keeps depends on the sparsity budget k:
 
@@ -20,10 +23,11 @@ Layout.  What a state keeps depends on the sparsity budget k:
   recovery of the slots (j_v, v) is `sample_offline`'s draw from the net
   pairs (`_sampled_graph`), with no random FAILs.
 * k < n: a sparse-recovery sketch per slot, one row of each of three
-  (S, R, B) blocks `counts`, `id_sums` and `fps`, for R hash rows and
-  B = 2k buckets.  Slots are lazy: a slot gets a row the first time an
-  update, a recovery or `sketch_at` touches it, and an untouched slot is
-  zero, so laziness never changes observable state.
+  (S, R, B) blocks `counts`, `id_sums` and `fps`, for R hash rows
+  (`SketchParams.rows`, from the pair-collision bound) and B = 2k buckets.
+  Slots are lazy: a slot gets a row the first time an update, a recovery
+  or `sketch_at` touches it, and an untouched slot is zero, so laziness
+  never changes observable state.
 
 A dense state adds each update to the two entries of its pair.  A sketch
 state expands a batch into (slot, index, delta) items by pair level, and
@@ -104,17 +108,23 @@ def pair_levels(level_seed: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return leading_ones_array(prf_array(start, np.minimum(u, v), np.maximum(u, v)))
 
 
-def top_level(n: int) -> int:
-    """Highest stored sampling level, ceil(log2 n) and at least 1."""
-    return max(1, math.ceil(math.log2(n))) if n > 1 else 1
+def level_cap(n: int, ups: float) -> int:
+    """Highest sampling level a recovery reads over n vertices at
+    oversampling factor Y: L* = floor(log2((n - 1) / 2Y)), the level
+    `pick_level` gives a vertex of degree n - 1 (0 when n - 1 <= 2Y), and at
+    most ceil(log2 n).  Every vertex of a simple graph has j_v <= L*, so
+    capping j_v there changes no draw."""
+    top = max(1, math.ceil(math.log2(n))) if n > 1 else 1
+    return pick_level(n - 1, ups, top)
 
 
 def state_shape(n: int, params: SparsifierParams) -> tuple[int, int, float]:
-    """(top level, sparsity budget k, per-sketch failure probability) of a
-    `StreamState` over n vertices: k = min(n, ceil(8Y)) and n^-(C+3) = n^-4,
-    with C = `sparsify.FAIL_EXPONENT`."""
-    k = min(n, max(1, math.ceil(8.0 * params.upsilon_for(n))))
-    return top_level(n), k, float(max(n, 2)) ** (-(FAIL_EXPONENT + 3.0))
+    """(level cap L*, sparsity budget k, per-sketch failure probability) of
+    a `StreamState` over n vertices: `level_cap`, k = min(n, ceil(8Y)) and
+    n^-(C+3) = n^-4, with C = `sparsify.FAIL_EXPONENT`."""
+    ups = params.upsilon_for(n)
+    k = min(n, max(1, math.ceil(8.0 * ups)))
+    return level_cap(n, ups), k, float(max(n, 2)) ** (-(FAIL_EXPONENT + 3.0))
 
 
 def dense_slots(n: int, k: int) -> bool:
@@ -136,7 +146,7 @@ def worst_case_bytes(n: int, params: SparsifierParams) -> int:
 
 
 def pick_level(deg: float, ups: float, max_level: int) -> int:
-    """j_v = max(0, floor(log2(deg / (2Y)))), capped at the top stored level."""
+    """j_v = max(0, floor(log2(deg / (2Y)))), capped at `max_level`."""
     if deg <= 0:
         return 0
     j = math.floor(math.log2(deg / (2.0 * ups)))
@@ -151,12 +161,13 @@ def vertex_levels(deg, ups: float, max_level: int) -> np.ndarray:
 class StreamState:
     """Entire memory footprint of the streaming algorithm for one sample.
 
-    Holds n degree counters and (levels+1) x n slots (i, v), v's net
-    adjacency over the pairs of level >= i, with sparsity budget k = min(n,
-    ceil(8Y)) and per-sketch failure probability n^-(C+3) = n^-4, with C =
-    `sparsify.FAIL_EXPONENT`.  State is linear: it depends only on the net
-    edge multiset.  Its randomness, pair levels and slot sketch seeds,
-    derives from `params.seed` alone.
+    Holds n degree counters and (levels+1) x n slots (i, v) for i in
+    0..`levels`, v's net adjacency over the pairs of level >= i, with
+    `levels` the cap L* that no recovery reads above (`level_cap`), sparsity
+    budget k = min(n, ceil(8Y)) and per-sketch failure probability
+    n^-(C+3) = n^-4, with C = `sparsify.FAIL_EXPONENT`.  State is linear:
+    it depends only on the net edge multiset.  Its randomness, pair levels
+    and slot sketch seeds, derives from `params.seed` alone.
 
     When k == n (`dense_slots`, decided once here and kept in `dense`), one
     (n, n) int64 net block holds every slot; otherwise each touched slot is a
@@ -176,12 +187,11 @@ class StreamState:
         self.dense = dense_slots(n, self.k)
         self.deg = np.zeros(n, dtype=np.int64)
         self._level_seed = prf(self.seed, _LEVEL_TAG)
-        R, B = self._sketch_params(0).rows, 2 * self.k
-        self._cells = R * B
         if self.dense:
             # net count of every pair, kept at both (u, v) and (v, u)
             self._net = np.zeros((n, n), dtype=np.int64)
             return
+        R, B = self._sketch_params(0).rows, 2 * self.k
         # slot (level, v) has key level * n + v and sketch seed
         # prf(seed, _SKETCH_TAG, level, v); _row[key] is its block row, or -1
         self._row = np.full((self.levels + 1) * n, -1, dtype=np.int64)
@@ -307,7 +317,8 @@ class StreamState:
         j = vertex_levels(self.deg, self.upsilon, self.levels)
         # touches the n slots, and may grow the block: before reading it
         rows = self._rows(j * self.n + np.arange(self.n))
-        R, group = self._payload[0].shape[1], max(1, WINDOW_CELLS // self._cells)
+        R, B = self._payload[0].shape[1:]
+        group = max(1, WINDOW_CELLS // (R * B))
         found, fail = [], False
         for a in range(0, self.n, group):
             g = rows[a : a + group]  # fancy indexing: the peel gets copies
@@ -341,10 +352,6 @@ class StreamState:
         row = sum(a.itemsize * math.prod(a.shape[1:]) for a in self._payload)
         return self._used * row + self.deg.nbytes
 
-    def bucket_budget(self) -> int:
-        """Bucket count of the full sketch family: n*(L+1)*2k*R."""
-        return self.n * (self.levels + 1) * self._cells
-
 
 def _sampled_graph(n: int, params: SparsifierParams, deg, u, v, count) -> Graph | None:
     """The sampled graph of the pairs {u[t], v[t]} (u < v) of net counts
@@ -352,7 +359,8 @@ def _sampled_graph(n: int, params: SparsifierParams, deg, u, v, count) -> Graph 
     >= min(j_u, j_v), with weight 2^min(j_u, j_v), in (u, v, w) order.
     None when a kept pair's count is not 1.  `sample_offline` and both
     recovery paths of `StreamState` end here."""
-    j = vertex_levels(deg, params.upsilon_for(max(n, 1)), top_level(n))
+    ups = params.upsilon_for(max(n, 1))
+    j = vertex_levels(deg, ups, level_cap(n, ups))
     j_min = np.minimum(j[u], j[v])
     keep = pair_levels(prf(params.seed, _LEVEL_TAG), u, v) >= j_min
     if (count[keep] != 1).any():

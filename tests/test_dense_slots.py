@@ -350,3 +350,18 @@ def test_cap_admits_dense_planted_4x50_and_refuses_its_sketch_budget():
     with sketch_path():
         with pytest.raises(PoolTooLarge):
             SparsifierPools(200, params)
+
+
+def test_cap_admits_sketch_pools_at_64_vertices_and_refuses_them_at_128():
+    # Y = 4 gives k = 32 < n: one sketch state a slot, each keeping levels
+    # 0..L* of R-row sketches.  Slots are lazy, so before the feed the
+    # admitted pools hold their degree counters alone
+    params = DecompParams(eps=0.3, quality_k=2, seed=1, upsilon_override=4.0)
+    pools = SparsifierPools(64, params)
+    states = list(pools.all_states())
+    assert not pools.dense and len(states) == 227
+    need = sum(stream_mod.worst_case_bytes(64, s.params) for s in states)
+    assert need <= decompose_mod.POOL_BYTE_CAP
+    assert pools.memory_bytes() == 227 * 8 * 64
+    with pytest.raises(PoolTooLarge):
+        SparsifierPools(128, params)

@@ -419,6 +419,8 @@ BAD_VALUES = {
     "decomp-upsilon-override-string": (bad_decomp(upsilon_override="4"),
                                        "decomp.upsilon_override"),
     "decomp-quality-k-bool": (bad_decomp(quality_k=True), "decomp.quality_k"),
+    "decomp-eps-string-no-trials": (bad_config(decomp={"eps": "x", "quality_k": 2}, trials=0),
+                                    "decomp.eps"),
     "stream-churn-string": (bad_config(stream={"churn": "0.5"}), "stream.churn"),
     "stream-spares-negative": (bad_config(stream={"churn": 0.5, "spares": -1}), "stream.spares"),
     "stream-spares-float": (bad_config(stream={"churn": 0.5, "spares": 1.7}), "stream.spares"),

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from powercut import SketchParams, SparseRecoverySketch
-from powercut.sketch import FIELD_PRIME, ROW_CONSTANT, SketchError
+from powercut.sketch import FIELD_PRIME, SketchError
 
 
 def params(n=8, k=2, p=0.01, seed=1):
@@ -38,11 +39,34 @@ def test_equal_params_and_seed_give_identical_state():
 
 
 def test_space_matches_params():
-    for p in (0.01, 1e-3, 1e-6):
+    # C(5, 2) = 10 pairs over 10 buckets a row: 10 * 10^-r <= p at r = 3, 4
+    # and 7, met with equality each time, plus one row
+    for p, rows in ((0.01, 4), (1e-3, 5), (1e-6, 8)):
         sk = SparseRecoverySketch(params(n=32, k=5, p=p))
-        rows = math.ceil(ROW_CONSTANT * math.log2(1.0 / p))
         assert sk.counts.shape == (rows, 10)
         assert sk.id_sums.shape == sk.counts.shape == sk.fps.shape
+    # k = 1: no pair can collide, and the floor of one pair gives
+    # ceil(log2(1/p)) + 1 rows
+    assert params(n=8, k=1, p=1e-6).rows == 21
+
+
+@settings(max_examples=300, deadline=None)
+@given(k=st.integers(1, 200),
+       p=st.one_of(st.floats(1e-30, 0.99),
+                   st.builds(lambda m, e: float(f"{m}e-{e}"), st.integers(1, 9),
+                             st.integers(1, 20)),
+                   st.builds(lambda n: float(n) ** -4.0, st.integers(2, 2000))))
+def test_rows_are_one_past_the_least_r_meeting_the_pair_bound(k, p):
+    # rows - 1 is the least r with max(1, C(k, 2)) * (2k)^-r <= p, in exact
+    # rationals with p read as the decimal it prints as
+    rows = SketchParams(max(k, 2), k, p, 0).rows
+    pairs, exact_p = max(1, math.comb(k, 2)), Fraction(repr(p))
+
+    def meets(r):
+        return pairs * Fraction(1, 2 * k) ** r <= exact_p
+
+    assert rows >= 1 and meets(rows - 1)
+    assert rows == 1 or not meets(rows - 2)
 
 
 def test_insert_delete_cancellation_bit_identical():

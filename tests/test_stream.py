@@ -20,6 +20,7 @@ from powercut.stream import (
     pair_levels,
     pick_level,
     save_stream,
+    vertex_levels,
     worst_case_bytes,
 )
 
@@ -110,6 +111,34 @@ def test_pick_level_formula():
     assert pick_level(800.0, 100.0, max_level=10) == 2
     assert pick_level(0.0, 100.0, max_level=10) == 0
     assert pick_level(10.0 ** 9, 1.0, max_level=5) == 5  # cap at stored levels
+
+
+@pytest.mark.parametrize("n, ups", [(1, 2.0), (2, 0.1), (9, 4.0), (64, 4.0), (200, 0.12),
+                                    (257, 1.0), (400, 4.0), (1000, 31.2)])
+def test_state_levels_stop_at_the_level_cap(n, ups):
+    # L* = floor(log2((n - 1) / 2Y)), 0 when n - 1 <= 2Y, and never above
+    # ceil(log2 n) (at least 1)
+    cap = math.floor(math.log2((n - 1) / (2 * ups))) if n - 1 > 2 * ups else 0
+    top = max(1, math.ceil(math.log2(n))) if n > 1 else 1
+    state = StreamState(n, small_params(upsilon_override=ups))
+    assert state.levels == min(top, cap)
+
+
+@pytest.mark.parametrize("n, ups, seed", [(16, 0.5, 1), (40, 2.0, 2), (64, 4.0, 3)])
+def test_sketch_state_over_complete_graph_recovers_offline_draw(n, ups, seed):
+    # every vertex of K_n has degree n - 1, so every j_v is the cap L* itself:
+    # the top level the state keeps must be there and be the one read
+    G = complete_graph(n)
+    sp = small_params(upsilon_override=ups, seed=seed)
+    state = StreamState(n, sp)
+    assert not state.dense and state.levels >= 1
+    state.process_many(gen_stream(G, churn=0.5, seed=seed))
+    j = vertex_levels(state.deg, state.upsilon, state.levels)
+    assert (j == state.levels).all()
+    assert state.levels == math.floor(math.log2((n - 1) / (2 * ups)))
+    H = state.recover_sparsifier()
+    assert H is not None and H.num_edges < G.num_edges
+    assert H.edge_list() == sample_offline(G, sp).edge_list()
 
 
 def test_low_degree_graph_recovers_exactly_weight_one():
