@@ -22,8 +22,8 @@ params = SparsifierParams(delta=0.25, eps=0.5, upsilon_override=4.0, seed=99)
 state = StreamState(64, params)
 print(f"stream state: k={state.k}, levels 0..{state.levels}")
 
-updates = gen_stream(G, churn=1.0, seed=5)
-ins = sum(1 for u in updates if u.insert)
+updates = gen_stream(G, churn=1.0, seed=5)  # (u, v, delta) rows, +1 insert, -1 delete
+ins = int((updates[:, 2] == 1).sum())
 print(f"stream: {len(updates)} updates ({ins} inserts, {len(updates) - ins} deletes)")
 state.process_many(updates)
 print("degree counters exact:", np.array_equal(state.deg, G.deg.astype(np.int64)))

@@ -66,7 +66,6 @@ from .sparsify import (
 )
 from .stream import (
     StreamState,
-    StreamUpdate,
     load_stream,
     sample_offline,
     save_stream,

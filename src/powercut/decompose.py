@@ -47,8 +47,8 @@ from .graph import (
     min_conductance_bruteforce,
 )
 from .prf import prf
-from .sparsify import SparsifierParams, sample
-from .stream import StreamError, StreamState, update_arrays, worst_case_bytes
+from .sparsify import SparsifierParams, check_upsilon_override, sample
+from .stream import StreamError, StreamState, worst_case_bytes
 
 # prf tag of each slot kind: slot (kind, *index) samples with seed
 # prf(params.seed, tag, *index)
@@ -102,6 +102,7 @@ class DecompParams:
             raise GraphError(f"need an integer quality_k >= 1, got {self.quality_k!r}")
         if self.mode not in (EXACT_MODE, FAST_MODE):
             raise GraphError(f"unknown mode {self.mode!r}")
+        check_upsilon_override(self.upsilon_override)
 
 
 @dataclass(frozen=True)
@@ -277,18 +278,17 @@ class SparsifierPools:
         none for offline pools."""
         yield from dict.fromkeys(self.slot_states.values())
 
-    def feed(self, upd) -> None:
-        self.feed_many([upd])
+    def feed(self, row) -> None:
+        """Apply one (u, v, delta) row to every held state: a batch of one."""
+        self.feed_many([row])
 
     def feed_many(self, updates) -> None:
-        """Apply the updates to every held state, one state at a time.
+        """Apply (u, v, delta) rows to each held state's `process_many`.
 
-        The states share n, so the first state's check of the pairs rejects
-        a bad batch before any state changes.
-        """
-        arrays = update_arrays(updates)
+        The states share n, so the first state's check rejects a bad batch
+        before any state changes."""
         for st in self.all_states():
-            st.apply(*arrays)
+            st.process_many(updates)
 
     def phase1(self, depth: int) -> Graph:
         if not (1 <= depth <= self.sched.depth_bound):

@@ -10,6 +10,7 @@ because a timing column would break that determinism.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -75,7 +76,8 @@ def _is_int(x) -> bool:
 
 
 def _is_number(x) -> bool:
-    return _is_int(x) or isinstance(x, float)
+    """An int or a finite float: JSON's NaN and Infinity are no value here."""
+    return _is_int(x) or (isinstance(x, float) and math.isfinite(x))
 
 
 # what each config value must be, as JSON parses it: top-level values, and
@@ -84,18 +86,19 @@ _VALUE_RULES = {
     "trials": (lambda x: _is_int(x) and x >= 0, "an integer >= 0"),
     "seed": (_is_int, "an integer"),
     "record_timing": (lambda x: isinstance(x, bool), "true or false"),
-    "verify_phi": (lambda x: x is None or _is_number(x), "a number or null"),
+    "verify_phi": (lambda x: x is None or _is_number(x), "a finite number or null"),
     "generator": (lambda x: isinstance(x, dict), "a JSON object"),
     "stream": (lambda x: x is None or isinstance(x, dict), "a JSON object or null"),
 }
 _DECOMP_RULES = {
-    "eps": (_is_number, "a number"),
-    "delta": (_is_number, "a number"),
+    "eps": (_is_number, "a finite number"),
+    "delta": (_is_number, "a finite number"),
     "quality_k": (_is_int, "an integer"),
-    "upsilon_override": (lambda x: x is None or _is_number(x), "a number or null"),
+    "upsilon_override": (lambda x: x is None or (_is_number(x) and x > 0),
+                         "a finite number > 0 or null"),
 }
 _STREAM_RULES = {
-    "churn": (_is_number, "a number"),
+    "churn": (lambda x: _is_number(x) and x >= 0, "a finite number >= 0"),
     "spares": (lambda x: _is_int(x) and x >= 0, "an integer >= 0"),
 }
 

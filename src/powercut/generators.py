@@ -1,9 +1,9 @@
 """Graph and stream generators for experiments and tests.
 
-Every generator is a pure function of its parameters and seed.  Streams are
-sequences of insert/delete updates whose net result is exactly the input
-graph; decoy insert-then-delete pairs on non-edges exercise deletion
-handling without changing the net graph.
+Every generator is a pure function of its parameters and seed.  A stream is
+an (N, 3) int64 array of (u, v, delta) rows, delta +1 an insert and -1 a
+delete, whose net result is exactly the input graph; decoy insert-then-delete
+pairs on non-edges exercise deletion handling without changing the net graph.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import numpy as np
 
 from .graph import Graph, GraphError
 from .prf import prf
-from .stream import StreamUpdate
 
 _STREAM_TAG = 0x5347
 
@@ -112,8 +111,8 @@ def barbell_graph(c: int, s: int, bridges: int) -> Graph:
     """c copies of K_s, consecutive copies joined by `bridges` bridge edges."""
     if c < 1 or s < 1:
         raise GraphError("need c >= 1 cliques of size s >= 1")
-    if bridges > s:
-        raise GraphError("at most s bridges between consecutive cliques")
+    if not (0 <= bridges <= s):
+        raise GraphError("need 0 <= bridges <= s between consecutive cliques")
     iu, iv = np.triu_indices(s, 1)
     base = np.arange(c, dtype=np.int64)[:, None] * s
     # clique edges block by block, then bridge j of each consecutive pair
@@ -126,6 +125,8 @@ def barbell_graph(c: int, s: int, bridges: int) -> Graph:
 def planted_partition_graph(c: int, s: int, p_in: float, p_out: float, seed: int = 0) -> Graph:
     """c clusters of size s; edge probability p_in within, p_out across,
     one uniform draw per pair u < v, row by row."""
+    if not (0.0 <= p_in <= 1.0 and 0.0 <= p_out <= 1.0):
+        raise GraphError("need p_in and p_out in [0, 1]")
     return _draw_pairs(c * s, seed, lambda u, v: np.where(u // s == v // s, p_in, p_out))
 
 
@@ -155,15 +156,15 @@ def gen_graph(model: str, seed: int = 0, **kw) -> Graph:
     return planted_partition_graph(kw["c"], kw["s"], kw["p_in"], kw["p_out"], seed)
 
 
-def gen_stream(G: Graph, churn: float, seed: int = 0) -> list[StreamUpdate]:
-    """Shuffled update sequence whose net result is exactly G.
+def gen_stream(G: Graph, churn: float, seed: int = 0) -> np.ndarray:
+    """Shuffled (u, v, delta) rows whose net result is exactly G.
 
     Adds round(churn * |E|) decoy insert-then-delete pairs on distinct
     non-edges of G; every delete follows its matching insert, so a replay
     never removes an absent edge.
     """
-    if churn < 0:
-        raise GraphError("churn must be nonnegative")
+    if not (np.isfinite(churn) and churn >= 0):
+        raise GraphError(f"churn must be a finite number >= 0, got {churn!r}")
     if np.any(G.edge_u == G.edge_v) or np.any(G.edge_w != 1.0):
         raise GraphError("streams carry unweighted loop-free graphs")
     m = G.num_edges
@@ -210,4 +211,5 @@ def gen_stream(G: Graph, churn: float, seed: int = 0) -> list[StreamUpdate]:
         events.append((a, True, u, v))
         events.append((b, False, u, v))
     events.sort()
-    return [StreamUpdate(ins, u, v) for _, ins, u, v in events]
+    rows = [(u, v, 1 if ins else -1) for _, ins, u, v in events]
+    return np.array(rows, dtype=np.int64).reshape(-1, 3)

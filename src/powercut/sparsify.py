@@ -36,6 +36,12 @@ def upsilon(n: int, eps: float, delta: float) -> float:
     )
 
 
+def check_upsilon_override(ups) -> None:
+    """Raise GraphError unless `ups` is None or a finite number > 0."""
+    if ups is not None and not (math.isfinite(ups) and ups > 0):
+        raise GraphError(f"upsilon_override must be a finite number > 0, got {ups!r}")
+
+
 @dataclass(frozen=True)
 class SparsifierParams:
     """(delta, eps) error targets, the oversampling factor and the seed.
@@ -54,8 +60,7 @@ class SparsifierParams:
             raise GraphError("need delta in (0, 1)")
         if not (0.0 < self.eps < 1.0):
             raise GraphError("need eps in (0, 1)")
-        if self.upsilon_override is not None and self.upsilon_override <= 0:
-            raise GraphError("upsilon_override must be positive")
+        check_upsilon_override(self.upsilon_override)
 
     def upsilon_for(self, n: int) -> float:
         if self.upsilon_override is not None:

@@ -29,6 +29,11 @@ Layout.  What a state keeps depends on the sparsity budget k:
   or `sketch_at` touches it, and an untouched slot is zero, so laziness
   never changes observable state.
 
+Input.  A stream is one (N, 3) int64 array of (u, v, delta) rows, delta +1
+an insert and -1 a delete: `load_stream` and `gen_stream` return it,
+`save_stream` writes it, and `StreamState.process_many`, the one checked
+entry, applies it as one batch, which by linearity a loop of its rows equals.
+
 A dense state adds each update to the two entries of its pair.  A sketch
 state expands a batch into (slot, index, delta) items by pair level, and
 `sketch.accumulate` nets, hashes and sums them into the blocks.  Updates are
@@ -48,8 +53,6 @@ every dense sample of a pool, each recovered under its own params.
 from __future__ import annotations
 
 import math
-import operator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,31 +74,16 @@ class StreamError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class StreamUpdate:
-    insert: bool
-    u: int
-    v: int
-
-    def __post_init__(self):
-        try:
-            u, v = operator.index(self.u), operator.index(self.v)
-        except TypeError:
-            raise StreamError(f"stream vertex ids must be integers, got "
-                              f"({self.u!r}, {self.v!r})") from None
-        if u == v:
-            raise StreamError("stream edges are loop-free")
-
-    @property
-    def delta(self) -> int:
-        return 1 if self.insert else -1
-
-
-def update_arrays(updates) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(u, v, delta) int64 arrays of a sequence of `StreamUpdate`s."""
-    rows = [(upd.u, upd.v, upd.delta) for upd in updates]
-    u, v, d = np.array(rows, dtype=np.int64).reshape(-1, 3).T.copy()
-    return u, v, d
+def stream_rows(updates) -> np.ndarray:
+    """`updates` as an (N, 3) int64 array of (u, v, delta) rows, without a
+    copy when it is one already; raises `StreamError` unless the rows hold
+    three integers each (an empty sequence is an empty batch)."""
+    rows = int_array(updates, StreamError)
+    if rows.shape == (0,):
+        rows = rows.reshape(0, 3)
+    if rows.ndim != 2 or rows.shape[1] != 3:
+        raise StreamError(f"a stream is (u, v, delta) rows, got shape {rows.shape}")
+    return rows
 
 
 def pair_levels(level_seed: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -251,24 +239,19 @@ class StreamState:
         sp = self._sketch_params(int(self._seeds[row]))
         return SparseRecoverySketch(sp, tuple(a[row].copy() for a in self._payload))
 
-    def process(self, upd: StreamUpdate) -> None:
-        """Apply one insert/delete: a batch of one."""
-        self.apply(*update_arrays([upd]))
+    def process(self, row) -> None:
+        """Apply one (u, v, delta) row: a batch of one."""
+        self.process_many([row])
 
     def process_many(self, updates) -> None:
-        """Apply a sequence of updates as one batch; by linearity the end
-        state is bit-identical to one `process` call per update."""
-        self.apply(*update_arrays(updates))
+        """Apply (u, v, delta) rows, an (N, 3) int array, as one batch; by
+        linearity the end state is bit-identical to one `process` per row.
 
-    def apply(self, u, v, delta) -> None:
-        """Apply the updates (u[t], v[t], delta[t]) given as int arrays.
-
-        Every entry is checked before anything changes, so a non-integer or
-        a bad pair leaves the state as it was.
+        Every row is checked before anything changes, so a non-integer or
+        a bad pair leaves the state as it was.  `updates` is only read.
         """
-        u, v, delta = (int_array(a, StreamError) for a in (u, v, delta))
-        if not (u.shape == v.shape == delta.shape and u.ndim == 1):
-            raise StreamError("u, v and delta must be 1-d arrays of one length")
+        rows = stream_rows(updates)
+        u, v, delta = rows.T
         bad = np.flatnonzero((u < 0) | (u >= self.n) | (v < 0) | (v >= self.n) | (u == v))
         if bad.size:
             t = int(bad[0])
@@ -389,16 +372,19 @@ def sample_offline(G: Graph, params: SparsifierParams) -> Graph:
 
 
 def save_stream(n: int, updates, path) -> None:
-    """Text format: first line "n", then one "+ u v" or "- u v" per update."""
+    """Text format: first line "n", then "+ u v" or "- u v" per (u, v, delta)
+    row; a delta other than +1 or -1 has no line and raises `StreamError`."""
+    rows = stream_rows(updates)
+    if (np.abs(rows[:, 2]) != 1).any():
+        raise StreamError("a stream file holds deltas of +1 and -1 only")
     with open(path, "w") as f:
         f.write(f"{n}\n")
-        for upd in updates:
-            op = "+" if upd.insert else "-"
-            f.write(f"{op} {upd.u} {upd.v}\n")
+        f.writelines(f"{'+' if d > 0 else '-'} {u} {v}\n" for u, v, d in rows.tolist())
 
 
-def load_stream(path):
-    """Read a stream file; a malformed line raises StreamError naming it.
+def load_stream(path) -> tuple[int, np.ndarray]:
+    """Read a stream file into (n, (N, 3) int64 rows); a malformed line
+    raises StreamError naming it.
 
     The first line is n >= 1; every other non-blank line is exactly
     "+ u v" or "- u v" with u != v, both in [0, n).  The stream must keep
@@ -409,31 +395,33 @@ def load_stream(path):
         if len(header) != 1 or not header[0].isdigit() or int(header[0]) < 1:
             raise StreamError(f"{path}:1: expected the vertex count n >= 1")
         n = int(header[0])
-        updates = []
+        rows = []
         live = set()
+
+        def bad(msg):
+            return StreamError(f"{path}:{lineno}: {msg}")
+
         for lineno, line in enumerate(f, start=2):
             parts = line.split()
             if not parts:
                 continue
-            where = f"{path}:{lineno}"
             if len(parts) != 3 or parts[0] not in ("+", "-"):
-                raise StreamError(f"{where}: expected '+ u v' or '- u v', got {line.strip()!r}")
+                raise bad(f"expected '+ u v' or '- u v', got {line.strip()!r}")
             try:
                 u, v = int(parts[1]), int(parts[2])
             except ValueError:
-                raise StreamError(f"{where}: vertex ids must be integers") from None
+                raise bad("vertex ids must be integers") from None
             if not (0 <= u < n and 0 <= v < n):
-                raise StreamError(f"{where}: vertex id out of range [0, {n})")
+                raise bad(f"vertex id out of range [0, {n})")
             if u == v:
-                raise StreamError(f"{where}: loop at vertex {u}; stream edges are loop-free")
+                raise bad(f"loop at vertex {u}; stream edges are loop-free")
             insert, pair = parts[0] == "+", u * n + v if u < v else v * n + u
+            if insert == (pair in live):
+                raise bad(f"{parts[0]} of edge {{{u}, {v}}}, which is "
+                          + ("present" if insert else "absent"))
             if insert:
-                if pair in live:
-                    raise StreamError(f"{where}: + of edge {{{u}, {v}}}, which is present")
                 live.add(pair)
             else:
-                if pair not in live:
-                    raise StreamError(f"{where}: - of edge {{{u}, {v}}}, which is absent")
                 live.remove(pair)
-            updates.append(StreamUpdate(insert, u, v))
-    return n, updates
+            rows.append((u, v, 1 if insert else -1))
+    return n, np.array(rows, dtype=np.int64).reshape(-1, 3)

@@ -19,7 +19,6 @@ from powercut import (
     SparseRecoverySketch,
     SparsifierParams,
     StreamState,
-    StreamUpdate,
     gen_stream,
     gnp_graph,
 )
@@ -147,8 +146,9 @@ def test_recover_sparsifier_equals_scalar_peels(n, p, seed, ups, bad, one_slot_g
     G = gnp_graph(n, p, seed=seed)
     # a bad update (a delete of an absent edge, a second insert) nets an
     # entry other than 0 or 1
-    updates = gen_stream(G, churn=0.5, seed=seed) + [
-        StreamUpdate(ins, u % n, v % n) for ins, u, v in bad if u % n != v % n]
+    extra = [(u % n, v % n, 1 if ins else -1) for ins, u, v in bad if u % n != v % n]
+    updates = np.concatenate([gen_stream(G, churn=0.5, seed=seed),
+                              np.array(extra, dtype=np.int64).reshape(-1, 3)])
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(stream_mod, "dense_slots", lambda n, k: False)
         state = StreamState(n, SparsifierParams(delta=0.25, eps=0.5, upsilon_override=ups,

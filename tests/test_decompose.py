@@ -77,6 +77,9 @@ def test_params_validation():
         DecompParams(eps=0.2, quality_k=2, delta=0.2)
     with pytest.raises(GraphError):
         DecompParams(eps=0.2, quality_k=2, mode="bogus")
+    for ups in (float("nan"), float("inf"), 0.0, -1.0):
+        with pytest.raises(GraphError, match="upsilon_override"):
+            DecompParams(eps=0.2, quality_k=2, upsilon_override=ups)
 
 
 # -- end-to-end decomposition ----------------------------------------------------

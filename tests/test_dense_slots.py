@@ -14,6 +14,7 @@ import json
 from contextlib import contextmanager
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -25,7 +26,6 @@ from powercut import (
     SparsifierParams,
     SparsifierPools,
     StreamState,
-    StreamUpdate,
     barbell_graph,
     decompose,
     gen_stream,
@@ -98,7 +98,7 @@ def test_dense_state_equals_sketch_state(stream, seed, ups_frac):
 def test_sketch_at_is_a_copy(path):
     sp = SparsifierParams(delta=0.25, eps=0.5, upsilon_override=2.0, seed=4)
     dense, sketched = both_states(6, sp)
-    updates = [StreamUpdate(True, 0, 1), StreamUpdate(True, 0, 1), StreamUpdate(False, 0, 2)]
+    updates = [(0, 1, 1), (0, 1, 1), (0, 2, -1)]
     for state in (dense, sketched):
         state.process_many(updates)
     state, other = (dense, sketched) if path == "dense" else (sketched, dense)
@@ -123,7 +123,8 @@ def test_sketch_at_is_a_copy(path):
 ], ids=[f"ops{i}" for i in range(5)])
 def test_entry_outside_minus_one_to_n_fails_on_both_paths(ops, isolated):
     G = barbell_graph(2, 4, 1)
-    updates = gen_stream(G, churn=0.5, seed=2) + [StreamUpdate(*op) for op in ops]
+    extra = [(u, v, 1 if insert else -1) for insert, u, v in ops]
+    updates = np.concatenate([gen_stream(G, churn=0.5, seed=2), extra])
     # Y = 4 puts every vertex at level 0, where the bad entry always is
     sp = SparsifierParams(delta=0.25, eps=0.5, upsilon_override=4.0, seed=9)
     dense, sketched = both_states(G.n + isolated, sp)
@@ -142,7 +143,7 @@ def test_bad_entry_below_every_recovery_level_is_not_read():
     u, v = G.edge_u[levels == 0][0], G.edge_v[levels == 0][0]
     dense, sketched = both_states(G.n, sp)
     for state in (dense, sketched):
-        state.process_many(gen_stream(G, churn=0.5, seed=3) + [StreamUpdate(True, u, v)])
+        state.process_many(np.concatenate([gen_stream(G, churn=0.5, seed=3), [(u, v, 1)]]))
     j = stream_mod.vertex_levels(dense.deg, dense.upsilon, dense.levels)
     assert j.min() >= 1
     got = dense.recover_sparsifier()
@@ -158,7 +159,7 @@ def test_more_than_k_nonzeros_fail_on_the_sketch_path():
     sp = SparsifierParams(delta=0.25, eps=0.5, upsilon_override=0.12, seed=14)
     state = StreamState(G.n, sp)
     assert not state.dense and state.k == 1
-    state.process_many([StreamUpdate(True, u, v) for u, v, _ in G.edge_list()])
+    state.process_many([(u, v, 1) for u, v, _ in G.edge_list()])
     j = stream_mod.vertex_levels(state.deg, state.upsilon, state.levels)
     levels = stream_mod.pair_levels(prf(sp.seed, stream_mod._LEVEL_TAG), G.edge_u, G.edge_v)
     assert j[0] == 3 and (levels >= j[0]).sum() == 2
@@ -271,7 +272,7 @@ def test_dense_pool_refuses_a_stream_whose_net_graph_is_not_simple(upsilon_overr
     pools = SparsifierPools(B.n, params, spares=3)
     assert pools.dense
     updates = gen_stream(B, churn=0.0, seed=seed)
-    pools.feed_many(updates + updates[:1])
+    pools.feed_many(np.concatenate([updates, updates[:1]]))
     with pytest.raises(StreamError):
         decompose(pools, params, reference_graph=B)
     assert pools.fail_retries == 0

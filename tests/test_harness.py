@@ -62,6 +62,32 @@ def test_regular_infeasible_params():
         random_regular_graph(4, 4)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: barbell_graph(2, 4, -1),
+    lambda: barbell_graph(2, 4, 5),
+    lambda: planted_partition_graph(2, 4, 1.5, 0.1),
+    lambda: planted_partition_graph(2, 4, 0.5, -0.2),
+    lambda: planted_partition_graph(2, 4, float("nan"), 0.1),
+    lambda: gnp_graph(4, 1.5),
+], ids=["bridges-negative", "bridges-above-s", "p-in-above-one", "p-out-negative",
+        "p-in-nan", "gnp-p-above-one"])
+def test_generators_reject_out_of_range_parameters(make):
+    with pytest.raises(GraphError):
+        make()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--model", "barbell", "--c", "2", "--s", "4", "--bridges", "-1"],
+    ["--model", "barbell", "--c", "2", "--s", "4", "--bridges", "5"],
+    ["--model", "planted", "--c", "2", "--s", "4", "--p-in", "1.5", "--p-out", "0.1"],
+    ["--model", "planted", "--c", "2", "--s", "4", "--p-in", "0.5", "--p-out", "-0.2"],
+], ids=["bridges-negative", "bridges-above-s", "p-in-above-one", "p-out-negative"])
+def test_cli_gen_graph_rejects_out_of_range_parameters(tmp_path, argv):
+    out = tmp_path / "g.txt"
+    assert main(["gen-graph", *argv, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_planted_partition_shape():
     G = planted_partition_graph(3, 4, 1.0, 0.0, seed=0)
     # p_in = 1, p_out = 0: three disjoint K4s
@@ -145,18 +171,19 @@ def test_gen_graph_dispatch():
 def test_gen_stream_counts():
     G = gnp_graph(12, 0.4, seed=5)
     m = G.num_edges
-    assert len(gen_stream(G, churn=0.0, seed=1)) == m
-    assert all(u.insert for u in gen_stream(G, churn=0.0, seed=1))
-    assert len(gen_stream(G, churn=1.0, seed=1)) == 3 * m
+    rows = gen_stream(G, churn=0.0, seed=1)
+    assert rows.shape == (m, 3) and rows.dtype == np.int64
+    assert (rows[:, 2] == 1).all()
+    assert gen_stream(G, churn=1.0, seed=1).shape == (3 * m, 3)
 
 
 def test_gen_stream_well_formed_replay():
     G = gnp_graph(12, 0.4, seed=8)
     for churn in (0.0, 0.5, 1.0):
         live = set()
-        for upd in gen_stream(G, churn=churn, seed=3):
-            key = (min(upd.u, upd.v), max(upd.u, upd.v))
-            if upd.insert:
+        for u, v, delta in gen_stream(G, churn=churn, seed=3).tolist():
+            key = (min(u, v), max(u, v))
+            if delta == 1:
                 assert key not in live  # no double insert
                 live.add(key)
             else:
@@ -172,9 +199,9 @@ def test_gen_stream_well_formed_replay():
 def test_gen_stream_replay_nets_exactly_to_G(n, p, graph_seed, churn, seed):
     G = gnp_graph(n, p, seed=graph_seed)
     net = {}
-    for upd in gen_stream(G, churn=churn, seed=seed):
-        key = (min(upd.u, upd.v), max(upd.u, upd.v))
-        net[key] = net.get(key, 0) + upd.delta
+    for u, v, delta in gen_stream(G, churn=churn, seed=seed).tolist():
+        key = (min(u, v), max(u, v))
+        net[key] = net.get(key, 0) + delta
     assert set(net.values()) <= {0, 1}
     assert sorted(k for k, x in net.items() if x) == list(zip(G.edge_u.tolist(), G.edge_v.tolist()))
 
@@ -186,7 +213,13 @@ def test_gen_stream_rejects_weighted_graphs():
 
 def test_gen_stream_deterministic():
     G = gnp_graph(10, 0.5, seed=2)
-    assert gen_stream(G, 0.7, seed=9) == gen_stream(G, 0.7, seed=9)
+    assert np.array_equal(gen_stream(G, 0.7, seed=9), gen_stream(G, 0.7, seed=9))
+
+
+@pytest.mark.parametrize("churn", [-1.0, float("nan"), float("inf")])
+def test_gen_stream_rejects_churn_not_finite_and_nonnegative(churn):
+    with pytest.raises(GraphError, match="churn"):
+        gen_stream(gnp_graph(6, 0.5, seed=1), churn=churn)
 
 
 # -- experiment runner -------------------------------------------------------------
@@ -412,6 +445,8 @@ BAD_VALUES = {
     "seed-string": (bad_config(seed="1"), "seed"),
     "record-timing-string": (bad_config(record_timing="yes"), "record_timing"),
     "verify-phi-string": (bad_config(verify_phi="x"), "verify_phi"),
+    "verify-phi-nan": (bad_config(verify_phi=float("nan")), "verify_phi"),
+    "decomp-eps-inf": (bad_decomp(eps=float("inf")), "decomp.eps"),
     "generator-number": (bad_config(generator=5), "generator"),
     "stream-number-no-trials": (bad_config(stream=0.5, trials=0), "stream"),
     "decomp-eps-string": (bad_decomp(eps="0.3"), "decomp.eps"),
@@ -421,7 +456,19 @@ BAD_VALUES = {
     "decomp-quality-k-bool": (bad_decomp(quality_k=True), "decomp.quality_k"),
     "decomp-eps-string-no-trials": (bad_config(decomp={"eps": "x", "quality_k": 2}, trials=0),
                                     "decomp.eps"),
+    "decomp-upsilon-override-nan": (bad_decomp(upsilon_override=float("nan")),
+                                    "decomp.upsilon_override"),
+    "decomp-upsilon-override-inf": (bad_decomp(upsilon_override=float("inf")),
+                                    "decomp.upsilon_override"),
+    "decomp-upsilon-override-zero": (bad_decomp(upsilon_override=0),
+                                     "decomp.upsilon_override"),
+    "decomp-upsilon-override-negative": (bad_decomp(upsilon_override=-2.0),
+                                         "decomp.upsilon_override"),
     "stream-churn-string": (bad_config(stream={"churn": "0.5"}), "stream.churn"),
+    "stream-churn-negative-no-trials": (bad_config(stream={"churn": -1}, trials=0),
+                                        "stream.churn"),
+    "stream-churn-nan": (bad_config(stream={"churn": float("nan")}), "stream.churn"),
+    "stream-churn-inf": (bad_config(stream={"churn": float("inf")}), "stream.churn"),
     "stream-spares-negative": (bad_config(stream={"churn": 0.5, "spares": -1}), "stream.spares"),
     "stream-spares-float": (bad_config(stream={"churn": 0.5, "spares": 1.7}), "stream.spares"),
 }
@@ -453,6 +500,22 @@ def test_cli_refuses_removed_options(tmp_path, monkeypatch, argv):
     save_stream(B.n, gen_stream(B, churn=0.0, seed=1), "s.txt")
     Path("p.txt").write_text("".join(f"{v} {v // 4}\n" for v in range(8)))
     assert main(argv) == 2
+
+
+@pytest.mark.parametrize("verb", ["sparsify", "sketch"])
+@pytest.mark.parametrize("ups", ["nan", "inf", "0", "-1"])
+def test_cli_rejects_upsilon_override_not_finite_and_positive(tmp_path, monkeypatch, capsys,
+                                                              verb, ups):
+    # nan used to write an empty sparsifier, and inf to die of an OverflowError
+    monkeypatch.chdir(tmp_path)
+    B = barbell_graph(2, 4, 1)
+    save_graph(B, "g.txt")
+    save_stream(B.n, gen_stream(B, churn=0.5, seed=1), "s.txt")
+    source = ["--graph", "g.txt"] if verb == "sparsify" else ["--stream", "s.txt"]
+    assert main([verb, *source, "--eps", "0.5", "--upsilon-override", ups,
+                 "--out", "h.txt"]) == 2
+    assert "upsilon_override" in capsys.readouterr().err
+    assert not Path("h.txt").exists()
 
 
 def test_readme_cli_block_runs(tmp_path, monkeypatch):
@@ -487,3 +550,12 @@ def test_perfbench_tracer_installs_and_uninstalls():
     assert tracer.counts["decompose.pool_fetch.calls"] > 0
     assert tracer.counts["sparsify.sample.calls"] > 0
     assert (dmod.SparsifierPools.__dict__["phase1"], dmod.sample, dmod.decompose) == originals
+
+
+def test_perfbench_selftest_passes():
+    # the benchmark loads streams with `load_stream` and wraps program names
+    # by hand: a change to either fails here, not only in a benchmark run
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, str(root / "perfbench" / "selftest.py")],
+                          cwd=root, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stdout + done.stderr

@@ -31,6 +31,15 @@ def test_upsilon_linear_in_inverse_eps():
     assert upsilon(64, 0.2, 0.3) == pytest.approx(2.0 * base, rel=1e-12)
 
 
+@pytest.mark.parametrize("kw", [dict(delta=0.0), dict(delta=1.0), dict(eps=0.0), dict(eps=1.0),
+                                dict(upsilon_override=float("nan")),
+                                dict(upsilon_override=float("inf")),
+                                dict(upsilon_override=0.0), dict(upsilon_override=-1.0)])
+def test_sparsifier_params_validation(kw):
+    with pytest.raises(GraphError):
+        SparsifierParams(**dict(dict(delta=0.25, eps=0.5), **kw))
+
+
 def test_upsilon_requires_two_vertices():
     with pytest.raises(GraphError):
         upsilon(1, 0.5, 0.5)

@@ -7,7 +7,6 @@ from powercut import (
     Graph,
     SparsifierParams,
     StreamState,
-    StreamUpdate,
     gen_stream,
     gnp_graph,
     sample_offline,
@@ -34,24 +33,51 @@ def small_params(**kw):
 
 
 def test_stream_update_rejects_loops():
+    st = StreamState(8, small_params())
     with pytest.raises(StreamError):
-        StreamUpdate(True, 2, 2)
+        st.process_many([(2, 2, 1)])
+    with pytest.raises(StreamError):
+        st.process((2, 2, 1))
+    assert not st.deg.any()
 
 
 def test_stream_takes_integers_only():
-    with pytest.raises(StreamError):
-        StreamUpdate(True, 0, 1.5)
     a, b = StreamState(8, small_params()), StreamState(8, small_params())
-    a.process(StreamUpdate(True, np.int64(1), np.int32(5)))
-    b.process(StreamUpdate(True, 1, 5))
+    with pytest.raises(StreamError):
+        a.process((0, 1.5, 1))
+    a.process((np.int64(1), np.int32(5), 1))
+    b.process((1, 5, 1))
     assert a.serialize() == b.serialize()
     before = a.serialize()
-    for u, v, d in [([0], [1.5], [1]), ([0.0], [1], [1]), ([0], [1], [0.5])]:
+    for rows in ([(0, 1.5, 1)], [(0.0, 1, 1)], [(0, 1, 0.5)], np.array([[2.0, 3.0, 1.0]])):
         with pytest.raises(StreamError):
-            a.apply(u, v, d)
+            a.process_many(rows)
         assert a.serialize() == before
-    a.apply([], [], [])
+    a.process_many([])
+    a.process_many(np.zeros((0, 3), dtype=np.int64))
     assert a.serialize() == before
+
+
+@pytest.mark.parametrize("rows", [np.array([[0, 1]]), np.array([[0, 1, 1, 1]]),
+                                  np.array([0, 1, 1]), np.zeros((1, 1, 3), dtype=np.int64)])
+def test_process_many_rejects_rows_not_three_wide(rows):
+    st = StreamState(8, small_params())
+    st.process((2, 3, 1))
+    before = st.serialize()
+    with pytest.raises(StreamError):
+        st.process_many(rows)
+    assert st.serialize() == before
+
+
+@pytest.mark.parametrize("ups", [2.0, 0.12])
+def test_process_many_leaves_the_callers_array_unchanged(ups):
+    G = gnp_graph(12, 0.5, seed=2)
+    rows = gen_stream(G, churn=0.5, seed=9)
+    kept = rows.copy()
+    st = StreamState(12, small_params(upsilon_override=ups))
+    st.process_many(rows)
+    st.process_many(rows[::-1])  # a strided view reads as well
+    assert np.array_equal(rows, kept)
 
 
 def test_edge_level_symmetric_and_deterministic():
@@ -82,9 +108,9 @@ def test_edge_level_fraction_matches_geometric_law():
 def test_insert_then_delete_restores_state():
     st = StreamState(8, small_params())
     before = st.serialize()
-    st.process(StreamUpdate(True, 1, 5))
+    st.process((1, 5, 1))
     assert st.serialize() != before
-    st.process(StreamUpdate(False, 1, 5))
+    st.process((1, 5, -1))
     assert st.serialize() == before
 
 
@@ -101,7 +127,7 @@ def test_stream_permutation_invariance():
 def test_star_center_degree_counter():
     st = StreamState(8, small_params())
     for leaf in range(1, 6):
-        st.process(StreamUpdate(True, 0, leaf))
+        st.process((0, leaf, 1))
     assert st.deg[0] == 5
     assert st.deg[1:6].tolist() == [1] * 5
 
@@ -180,7 +206,7 @@ def test_recovery_fail_is_a_value():
     sp = SparsifierParams(delta=0.25, eps=0.5, upsilon_override=0.12, seed=1)
     st = StreamState(6, sp)
     for u, v, _ in G.edge_list():
-        st.process(StreamUpdate(True, u, v))
+        st.process((u, v, 1))
     assert st.recover_sparsifier() is None
 
 
@@ -234,7 +260,24 @@ def test_stream_file_roundtrip(tmp_path):
     save_stream(10, upds, path)
     n, loaded = load_stream(path)
     assert n == 10
-    assert loaded == upds
+    assert loaded.dtype == np.int64 and loaded.shape == (len(upds), 3)
+    assert np.array_equal(loaded, upds)
+    assert path.read_text().splitlines()[:2] == ["10", "{} {} {}".format(
+        "+" if upds[0, 2] == 1 else "-", *upds[0, :2])]
+
+
+def test_empty_stream_file_roundtrip(tmp_path):
+    path = tmp_path / "s.txt"
+    save_stream(3, np.zeros((0, 3), dtype=np.int64), path)
+    n, loaded = load_stream(path)
+    assert n == 3 and loaded.shape == (0, 3) and loaded.dtype == np.int64
+
+
+@pytest.mark.parametrize("delta", [2, 0, -2])
+def test_save_stream_rejects_deltas_other_than_one(tmp_path, delta):
+    with pytest.raises(StreamError):
+        save_stream(4, [(0, 1, 1), (1, 2, delta)], tmp_path / "s.txt")
+    assert not (tmp_path / "s.txt").exists()
 
 
 @pytest.mark.parametrize(

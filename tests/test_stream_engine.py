@@ -1,6 +1,6 @@
 """Differential tests of the array stream engine against scalar references.
 
-The engine (`StreamState.apply`, `sketch.accumulate`) must leave every
+The engine (`StreamState.process_many`, `sketch.accumulate`) must leave every
 sketch bit-identical to a loop of scalar `SparseRecoverySketch.update`
 calls, whatever the batching, windowing or chunking.
 """
@@ -20,7 +20,6 @@ from powercut import (
     SparsifierParams,
     SparsifierPools,
     StreamState,
-    StreamUpdate,
     barbell_graph,
     decompose,
     gen_stream,
@@ -228,7 +227,7 @@ def test_process_batching_gives_identical_state(stream, seed, data):
 
 
 def test_batch_that_cancels_out_matches_per_update_state():
-    ups = [StreamUpdate(True, 0, 1), StreamUpdate(False, 0, 1)]
+    ups = np.array([(0, 1, 1), (0, 1, -1)])
     one = StreamState(4, params(seed=1))
     for upd in ups:
         one.process(upd)
@@ -245,15 +244,15 @@ def test_each_slot_matches_scalar_reference(stream, seed):
     state = StreamState(G.n, sp)
     state.process_many(updates)
     refs, level_seed = {}, prf(sp.seed, _LEVEL_TAG)
-    for upd in updates:
-        for i in range(min(pair_level(level_seed, upd.u, upd.v), state.levels) + 1):
-            for vtx, idx in ((upd.u, upd.v), (upd.v, upd.u)):
+    for u, v, delta in updates.tolist():
+        for i in range(min(pair_level(level_seed, u, v), state.levels) + 1):
+            for vtx, idx in ((u, v), (v, u)):
                 ref = refs.get((i, vtx))
                 if ref is None:
                     seed_iv = prf(sp.seed, _SKETCH_TAG, i, vtx)
                     ref = SparseRecoverySketch(SketchParams(G.n, state.k, state.sketch_p, seed_iv))
                     refs[(i, vtx)] = ref
-                ref.update(idx, upd.delta)
+                ref.update(idx, delta)
     for (i, vtx), ref in refs.items():
         assert state.sketch_at(i, vtx).serialize() == ref.serialize()
     assert np.array_equal(state.deg, G.deg.astype(np.int64))
@@ -279,12 +278,12 @@ def test_construction_allocates_no_rows():
 
 def test_bad_pair_leaves_state_untouched():
     state = StreamState(6, params())
-    state.process(StreamUpdate(True, 0, 1))
+    state.process((0, 1, 1))
     before = (state.memory_bytes(), state.deg.copy())
     with pytest.raises(StreamError):
-        state.process_many([StreamUpdate(True, 2, 3), StreamUpdate(True, 4, 6)])
+        state.process_many([(2, 3, 1), (4, 6, 1)])
     with pytest.raises(StreamError):
-        state.apply(np.array([1]), np.array([1]), np.array([1]))
+        state.process_many(np.array([[1, 1, 1]]))
     assert state.memory_bytes() == before[0]
     assert np.array_equal(state.deg, before[1])
     with pytest.raises(StreamError):
@@ -302,8 +301,10 @@ def _pools_and_stream(seed):
 
 def test_pools_feed_many_equals_per_update_feed():
     B, params_d, updates = _pools_and_stream(42)
+    kept = updates.copy()
     batch = SparsifierPools(B.n, params_d, spares=1)
     batch.feed_many(updates)
+    assert np.array_equal(updates, kept)  # the caller's rows are only read
     single = SparsifierPools(B.n, params_d, spares=1)
     for upd in updates:
         single.feed(upd)
@@ -321,7 +322,7 @@ def test_pools_reject_bad_batch_before_any_state_changes():
     B, params_d, updates = _pools_and_stream(7)
     pools = SparsifierPools(B.n, params_d, spares=0)
     with pytest.raises(StreamError):
-        pools.feed_many(updates + [StreamUpdate(True, 0, B.n)])
+        pools.feed_many(np.vstack([updates, [(0, B.n, 1)]]))
     fresh = SparsifierPools(B.n, params_d, spares=0)
     assert all(a.serialize() == b.serialize()
                for a, b in zip(pools.all_states(), fresh.all_states()))
@@ -365,14 +366,14 @@ def test_each_slot_matches_scalar_reference_on_sketch_path(stream, seed):
     assert not state.dense
     state.process_many(updates)
     refs, level_seed = {}, prf(sp.seed, _LEVEL_TAG)
-    for upd in updates:
-        for i in range(min(pair_level(level_seed, upd.u, upd.v), state.levels) + 1):
-            for vtx, idx in ((upd.u, upd.v), (upd.v, upd.u)):
+    for u, v, delta in updates.tolist():
+        for i in range(min(pair_level(level_seed, u, v), state.levels) + 1):
+            for vtx, idx in ((u, v), (v, u)):
                 if (i, vtx) not in refs:
                     seed_iv = prf(sp.seed, _SKETCH_TAG, i, vtx)
                     refs[(i, vtx)] = SparseRecoverySketch(
                         SketchParams(G.n, state.k, state.sketch_p, seed_iv))
-                refs[(i, vtx)].update(idx, upd.delta)
+                refs[(i, vtx)].update(idx, delta)
     shape = SketchParams(G.n, state.k, state.sketch_p, 0)
     slot_bytes = 24 * shape.rows * shape.buckets_per_row
     assert state.memory_bytes() == len(refs) * slot_bytes + state.deg.nbytes
