@@ -17,6 +17,9 @@ normalized walk matrix, a sweep over prefixes of the eigenvector order, and
 iterative peeling of successive sub-phi sweep cuts to improve balance until
 the accumulated cut reaches half the cluster volume or no sub-phi sweep cut
 remains.  Its advertised constants are measured, not proven.
+
+The sweep is the package's only user of scipy and imports it on its first
+call, so a run that never sweeps never loads scipy.
 """
 
 from __future__ import annotations
@@ -25,8 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .graph import BRUTE_FORCE_LIMIT, REL_SLACK, Graph, GraphError, enumerate_cut_stats, mask_to_set
 
@@ -144,6 +145,8 @@ class _ClusterView:
 
 def _components(view: _ClusterView, active: np.ndarray) -> list[np.ndarray]:
     """Connected components of the active induced subgraph (nonloop edges)."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
     sub = np.flatnonzero(active)
     pos = -np.ones(view.n, dtype=np.int64)
     pos[sub] = np.arange(sub.size)
@@ -163,6 +166,7 @@ def _second_vector(view: _ClusterView, active_ids: np.ndarray,
     every vertex keeps its full H-degree and sqrt(deg) is the exact top
     eigenvector used for deflation.
     """
+    from scipy.sparse import csr_matrix
     n_a = active_ids.size
     pos = -np.ones(view.n, dtype=np.int64)
     pos[active_ids] = np.arange(n_a)

@@ -336,16 +336,24 @@ def save_graph(G: Graph, path) -> None:
                 f.write(f"{u} {v} {w!r}\n")
 
 
+def parse_count(token: str) -> int:
+    """An id or count read by a file loader: ASCII digits only, else ValueError
+    (`int` alone also takes '+1', '1_0' and other scripts' digits)."""
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError(f"not a nonnegative integer: {token!r}")
+    return int(token)
+
+
 def load_graph(path) -> Graph:
     """Read the header "n m" and exactly m edge lines "u v" or "u v w";
     blank lines are skipped.  A malformed, out-of-range, nonpositive or
     non-finite edge, a missing header and too few or too many edge lines
     raise GraphError naming the line."""
     with open(path) as f:
-        header = f.readline().split()
-        if len(header) != 2 or not all(h.isdigit() for h in header):
-            raise GraphError(f"{path}:1: expected header 'n m' of two nonnegative integers")
-        n, m = int(header[0]), int(header[1])
+        try:
+            n, m = map(parse_count, f.readline().split())
+        except ValueError:
+            raise GraphError(f"{path}:1: expected header 'n m' of two nonnegative integers") from None
         us, vs, ws = [], [], []
         lineno = 1
         for lineno, line in enumerate(f, start=2):
@@ -358,11 +366,11 @@ def load_graph(path) -> Graph:
             if len(parts) not in (2, 3):
                 raise GraphError(f"{where}: expected 'u v' or 'u v w', got {line.strip()!r}")
             try:
-                u, v = int(parts[0]), int(parts[1])
+                u, v = parse_count(parts[0]), parse_count(parts[1])
                 w = float(parts[2]) if len(parts) == 3 else 1.0
             except ValueError:
-                raise GraphError(f"{where}: ids must be integers and the weight a number") from None
-            if not (0 <= u < n and 0 <= v < n):
+                raise GraphError(f"{where}: ids must be nonnegative integers and the weight a number") from None
+            if not (u < n and v < n):
                 raise GraphError(f"{where}: vertex id out of range [0, {n})")
             if not 0.0 < w < math.inf:
                 raise GraphError(f"{where}: weight {parts[2]} is not finite and positive")
@@ -397,13 +405,11 @@ def load_partition(path, n: int) -> list[np.ndarray]:
             if len(parts) != 2:
                 raise GraphError(f"{where}: expected 'v cluster_id', got {line.strip()!r}")
             try:
-                v, cid = int(parts[0]), int(parts[1])
+                v, cid = parse_count(parts[0]), parse_count(parts[1])
             except ValueError:
-                raise GraphError(f"{where}: ids must be integers") from None
-            if not 0 <= v < n:
+                raise GraphError(f"{where}: ids must be nonnegative integers") from None
+            if v >= n:
                 raise GraphError(f"{where}: vertex {v} out of range [0, {n})")
-            if cid < 0:
-                raise GraphError(f"{where}: negative cluster id {cid}")
             if label[v] >= 0:
                 raise GraphError(f"{where}: vertex {v} assigned twice")
             label[v] = cid

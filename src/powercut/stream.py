@@ -56,7 +56,7 @@ import math
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, parse_count
 from .prf import MASK64, leading_ones_array, mix64, prf, prf_array
 from .sketch import (WINDOW_CELLS, SketchParams, SparseRecoverySketch, accumulate, int_array,
                      peel, sketch_fp_bases, sketch_row_seeds)
@@ -391,10 +391,12 @@ def load_stream(path) -> tuple[int, np.ndarray]:
     the graph simple: "+" only for an absent edge, "-" only for a present one.
     """
     with open(path) as f:
-        header = f.readline().split()
-        if len(header) != 1 or not header[0].isdigit() or int(header[0]) < 1:
+        try:
+            (n,) = map(parse_count, f.readline().split())
+        except ValueError:
+            n = 0
+        if n < 1:
             raise StreamError(f"{path}:1: expected the vertex count n >= 1")
-        n = int(header[0])
         rows = []
         live = set()
 
@@ -408,10 +410,10 @@ def load_stream(path) -> tuple[int, np.ndarray]:
             if len(parts) != 3 or parts[0] not in ("+", "-"):
                 raise bad(f"expected '+ u v' or '- u v', got {line.strip()!r}")
             try:
-                u, v = int(parts[1]), int(parts[2])
+                u, v = parse_count(parts[1]), parse_count(parts[2])
             except ValueError:
-                raise bad("vertex ids must be integers") from None
-            if not (0 <= u < n and 0 <= v < n):
+                raise bad("vertex ids must be nonnegative integers") from None
+            if not (u < n and v < n):
                 raise bad(f"vertex id out of range [0, {n})")
             if u == v:
                 raise bad(f"loop at vertex {u}; stream edges are loop-free")

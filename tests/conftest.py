@@ -32,6 +32,12 @@ def c8():
     return cycle_graph(8)
 
 
+# Ids not in ASCII digits, which every file loader refuses: `int()` reads the
+# first three (a sign, an underscore, an Arabic-Indic three) as 1, 10 and 3,
+# and the superscript two passes `str.isdigit()` but not `int()`.
+NON_ASCII_DIGIT_TOKENS = ["+1", "1_0", "\u0663", "\u00b2"]
+
+
 def assert_same_graph(got, want):
     """Equal vertex counts, edge arrays and degrees, dtypes included."""
     assert got.n == want.n

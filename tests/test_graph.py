@@ -7,6 +7,7 @@ from powercut import Graph, GraphError, intercluster_volume, min_conductance_bru
 from powercut.graph import load_graph, load_partition, save_graph, save_partition
 
 from conftest import (
+    NON_ASCII_DIGIT_TOKENS,
     oracle_conductance,
     oracle_cut_weight,
     oracle_min_conductance,
@@ -343,7 +344,9 @@ def test_graph_file_roundtrip(tmp_path):
         ("3 1\n0\n", 2),  # truncated edge line
         ("3 1\n0 1 1 1\n", 2),  # extra field
         ("3 1\n0 a\n", 2),  # not an integer
-    ],
+    ] + [(body.format(token), lineno) for token in NON_ASCII_DIGIT_TOKENS
+         for body, lineno in [("{} 1\n0 1\n", 1), ("12 {}\n0 1\n", 1),
+                              ("12 1\n{} 1\n", 2), ("12 1\n0 {}\n", 2)]],
 )
 def test_load_graph_rejects_bad_lines(tmp_path, body, lineno):
     path = tmp_path / "g.txt"
@@ -376,7 +379,8 @@ def test_partition_file_roundtrip(tmp_path):
         ("0 -2\n", 1),  # negative cluster id
         ("0 0\n0 1\n", 2),  # vertex assigned twice
         ("0 a\n", 1),  # not an integer
-    ],
+    ] + [(body.format(token), lineno) for token in NON_ASCII_DIGIT_TOKENS
+         for body, lineno in [("0 0\n{} 0\n", 2), ("0 {}\n", 1)]],
 )
 def test_load_partition_rejects_bad_lines(tmp_path, body, lineno):
     path = tmp_path / "p.txt"

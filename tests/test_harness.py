@@ -29,7 +29,7 @@ from powercut.experiment import ExperimentConfig, run_experiment
 from powercut.graph import load_graph, save_graph
 from powercut.stream import save_stream
 
-from conftest import assert_same_graph
+from conftest import NON_ASCII_DIGIT_TOKENS, assert_same_graph
 
 
 # -- generators -------------------------------------------------------------------
@@ -341,6 +341,25 @@ def test_cli_decompose_bad_graph_exit_code(tmp_path, body):
     g.write_text(body)
     assert main(["decompose", "--graph", str(g), "--eps", "0.3", "--k", "2",
                  "--mode", "exact", "--out", str(tmp_path / "p.txt")]) == 2
+
+
+@pytest.mark.parametrize("token", NON_ASCII_DIGIT_TOKENS)
+def test_cli_exits_2_naming_the_line_of_an_id_not_in_ascii_digits(tmp_path, capsys, token):
+    g, part, s = tmp_path / "g.txt", tmp_path / "p.txt", tmp_path / "s.txt"
+    g.write_text(f"12 1\n0 {token}\n", encoding="utf-8")
+    assert main(["decompose", "--graph", str(g), "--eps", "0.3", "--k", "2",
+                 "--mode", "exact", "--out", str(tmp_path / "out.txt")]) == 2
+    assert f"error: {g}:2: " in capsys.readouterr().err
+    save_graph(barbell_graph(2, 4, 1), g)
+    part.write_text("".join(f"{v} {v // 4}\n" for v in range(7)) + f"{token} 1\n",
+                    encoding="utf-8")
+    assert main(["verify", "--graph", str(g), "--partition", str(part),
+                 "--eps", "0.3", "--phi", "0.01"]) == 2
+    assert f"error: {part}:8: " in capsys.readouterr().err
+    s.write_text(f"{token}\n+ 0 1\n", encoding="utf-8")
+    assert main(["sketch", "--stream", str(s), "--eps", "0.5",
+                 "--out", str(tmp_path / "h.txt")]) == 2
+    assert f"error: {s}:1: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("demo", ["01_cuts_and_volumes.py", "02_sparse_recovery_sketch.py",

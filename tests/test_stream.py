@@ -23,7 +23,7 @@ from powercut.stream import (
     worst_case_bytes,
 )
 
-from conftest import complete_graph
+from conftest import NON_ASCII_DIGIT_TOKENS, complete_graph
 
 
 def small_params(**kw):
@@ -293,7 +293,8 @@ def test_save_stream_rejects_deltas_other_than_one(tmp_path, delta):
         ("+ 0 1\n\n+ 2 2\n", 4),  # loop
         ("+ 0 1\n- 1 2\n", 3),  # delete of an absent edge
         ("+ 0 1\n- 1 0\n+ 0 1\n+ 1 0\n", 5),  # insert of a present edge
-    ],
+    ] + [(body.format(token), 2) for token in NON_ASCII_DIGIT_TOKENS
+         for body in ["+ {} 0\n", "+ 0 {}\n"]],
 )
 def test_load_stream_rejects_bad_lines(tmp_path, body, lineno):
     path = tmp_path / "s.txt"
@@ -302,7 +303,8 @@ def test_load_stream_rejects_bad_lines(tmp_path, body, lineno):
         load_stream(path)
 
 
-@pytest.mark.parametrize("header", ["", "0\n", "-3\n", "4 5\n", "four\n"])
+@pytest.mark.parametrize("header", ["", "0\n", "-3\n", "4 5\n", "four\n"]
+                         + [token + "\n" for token in NON_ASCII_DIGIT_TOKENS])
 def test_load_stream_rejects_bad_header(tmp_path, header):
     path = tmp_path / "s.txt"
     path.write_text(header + "+ 0 1\n")
