@@ -6,7 +6,8 @@ Layers, bottom up:
   cut/volume/conductance arithmetic, including brute-force oracles;
 * `sketch` — linear k-sparse exact-recovery sketches (insert/delete/merge);
 * `stream` — the per-vertex, per-level sketching engine that recovers a
-  degree-subsampled weighted graph from a dynamic edge stream;
+  degree-subsampled weighted graph from a dynamic edge stream, and the net
+  graph that stream pools draw from;
 * `sparsify` — the offline degree-based sampler and exhaustive verification
   of the multiplicative/additive sparsifier property per induced cluster;
 * `cuts` — exhaustive and spectral-sweep balanced sparse cut procedures;
@@ -27,10 +28,8 @@ from .decompose import (
     DecompParams,
     DecompositionInvariantError,
     PoolExhausted,
-    PoolTooLarge,
     RunReport,
     Schedule,
-    SketchFailExhausted,
     SparsifierPools,
     StreamSparsifierPools,
     VerifyReport,
@@ -65,6 +64,8 @@ from .sparsify import (
     upsilon,
 )
 from .stream import (
+    NetGraph,
+    PoolTooLarge,
     StreamState,
     load_stream,
     sample_offline,

@@ -5,7 +5,7 @@ stream engine over a stream file and dump the recovered sparsifier),
 decompose, verify, run (experiment config).
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 sketch FAIL exhaustion.
+3 `powercut sketch` recovery FAIL.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from .decompose import (
     DecompParams,
     DecompositionInvariantError,
     PoolExhausted,
-    SketchFailExhausted,
     decompose,
     verify_decomposition,
 )
@@ -200,9 +199,6 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.cmd](args)
-    except SketchFailExhausted as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_SKETCH_FAIL
     except (GraphError, PoolExhausted, DecompositionInvariantError, ValueError, KeyError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG

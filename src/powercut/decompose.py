@@ -10,10 +10,9 @@ remaining core is certified an expander.
 Each phase consumes sparsifiers from its own slots of one `SparsifierPools`:
 one per recursion depth for phase one, one per (outer, inner) iteration for
 phase two, shared across all phase-two invocations.  A slot's sparsifier is
-either an offline sample of the input graph or recovered, under the slot's
-own parameters, from a stream state that saw the whole update stream: a
-dense pool's one net-count state serves every slot, and a sketch pool gives
-each slot a state of its own.
+either an offline sample of the input graph or drawn, under the slot's own
+parameters, from the one net graph (`stream.NetGraph`) that saw the whole
+update stream.
 
 Termination and quality bounds (recursion depth, iteration counts, the
 sparse-cut composition property, the singleton volume budget, per-cluster
@@ -30,7 +29,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import stream
 from .cuts import (
     BalancedCutOutcome,
     SweepNumericFailure,
@@ -48,31 +46,23 @@ from .graph import (
 )
 from .prf import prf
 from .sparsify import SparsifierParams, check_upsilon_override, sample
-from .stream import StreamError, StreamState, worst_case_bytes
+from .stream import NetGraph, StreamError
 
 # prf tag of each slot kind: slot (kind, *index) samples with seed
 # prf(params.seed, tag, *index)
-_SLOT_TAGS = {"phase1": 0xA1, "phase2": 0xA2, "spare": 0x5A}
+_SLOT_TAGS = {"phase1": 0xA1, "phase2": 0xA2}
 
 EXACT_MODE = "exact"
 FAST_MODE = "fast"
-
-# most bytes the states one stream `SparsifierPools` holds may need once
-# every slot is touched; planted 4x50 (n = 200, 478 slots, all dense) holds
-# one state of 0.32 MB
-POOL_BYTE_CAP = 2 << 30
 
 
 class PoolExhausted(RuntimeError):
     """A phase asked for more sparsifiers than its sized pool; configuration bug."""
 
 
-class PoolTooLarge(ValueError):
-    """Stream pools whose states could need more than `POOL_BYTE_CAP` bytes."""
-
-
 class SketchFailExhausted(RuntimeError):
-    """Stream recovery kept failing after exhausting the spare states."""
+    """Never raised: stream pools draw from a net graph, which has no random
+    FAIL.  Kept for perfbench, which lists it among a job's failures."""
 
 
 class DecompositionInvariantError(RuntimeError):
@@ -191,58 +181,25 @@ class SparsifierPools:
 
     Two sources, as two constructors:
 
-    * `SparsifierPools(n, params, spares)` gives every slot, and `spares`
-      spare slots ("spare", j, s) per accuracy level j, a `StreamState`.  A
-      slot's sparsity budget k never falls as its eps falls, so phase one's
-      slots have the smallest k and decide for the whole pool (`dense`): a
-      dense pool (`stream.dense_slots`) holds one state, the net graph
-      whatever its seed, from which every slot recovers under its own
-      parameters; otherwise each slot keeps a sketch state of its own.  The
-      pools are built before the stream (the slot count comes from the
-      volume upper bound), fed every update, and handed to `decompose`
-      afterwards.  A sketch FAIL during recovery consumes a spare of the
-      slot's level; running out raises `SketchFailExhausted`.  A dense pool
-      fails only when the fed stream's net graph is not simple, which every
-      spare would read again, so it raises `StreamError` instead.  Before
-      any state exists they add up what every held state would hold once all
-      its slots are touched (`stream.worst_case_bytes`) and raise
-      `PoolTooLarge` above `POOL_BYTE_CAP`, so a configuration that needs
-      gigabytes fails at once instead of exhausting memory during the feed.
-      `slot_states` maps every slot key, spares included, to the state it
-      reads.
+    * `SparsifierPools(n, params)` holds one `stream.NetGraph`: the degrees
+      and the n x n net pair counts, which depend on no seed.  The pools are
+      built before the stream, fed every update, and handed to `decompose`
+      afterwards; each slot then draws its sample from the net graph under
+      its own parameters, whatever its Y.  A draw fails only when the fed
+      stream's net graph is not simple, which raises `StreamError`.  A net
+      graph above `stream.POOL_BYTE_CAP` bytes (8n^2 + 8n) raises
+      `stream.PoolTooLarge` before anything is allocated.
     * `SparsifierPools.offline(G, params, sched)` samples G with the slot's
       parameters; `decompose` builds it from a Graph source.
 
-    `memory_bytes` is what the held stream states hold, net blocks or
-    sketch rows, or three words per edge of the offline samples drawn so far.
+    `memory_bytes` is what the net graph holds, or three words per edge of
+    the offline samples drawn so far.
     """
 
-    def __init__(self, n: int, params: DecompParams, spares: int = 1):
+    def __init__(self, n: int, params: DecompParams):
         self._setup(n, params, make_schedule(params, n))
-        sched = self.sched
-        keys = [("phase1", d) for d in range(1, sched.depth_bound + 1)]
-        keys += [("phase2", j, h) for j in range(1, sched.quality_k + 2)
-                 for h in range(1, sched.alg2_pool_size + 1)]
-        keys += [("spare", j, s) for j in range(sched.quality_k + 2) for s in range(spares)]
-        # Y = upsilon_override, or the formula's Y that grows as eps = psi(j)
-        # falls: slot ("phase1", 1), at psi(0), has the smallest k
-        first = self._slot_params(keys[0])
-        self.dense = stream.dense_slots(n, stream.state_shape(n, first)[1])
-        held = [first] if self.dense else [self._slot_params(key) for key in keys]
-        need = sum(worst_case_bytes(n, sp) for sp in held)
-        if need > POOL_BYTE_CAP:
-            raise PoolTooLarge(
-                f"stream pools of {len(held)} states over {n} vertices could need "
-                f"{need / 2**30:.3g} GiB, above the cap of {POOL_BYTE_CAP / 2**30:.3g} GiB"
-            )
-        states = [StreamState(n, sp) for sp in held]
-        # a dense pool's one state serves every slot
-        self.slot_states = dict(zip(keys, states * len(keys) if self.dense else states))
-        self._spares = {
-            j: [("spare", j, s) for s in range(spares)]
-            for j in range(sched.quality_k + 2)
-        }
-        self.deg = self.slot_states["phase1", 1].deg
+        self._net = NetGraph(n)
+        self.deg = self._net.deg
 
     @classmethod
     def offline(cls, G: Graph, params: DecompParams, sched: Schedule) -> "SparsifierPools":
@@ -257,11 +214,9 @@ class SparsifierPools:
         self.n = n
         self.params = params
         self.sched = sched
-        self.fail_retries = 0
         self._cache: dict[tuple, Graph] = {}
         self._graph: Graph | None = None
-        self.slot_states: dict[tuple, StreamState] = {}
-        self._spares: dict[int, list[tuple]] = {}
+        self._net: NetGraph | None = None
 
     def _slot_params(self, key: tuple) -> SparsifierParams:
         """Sparsifier parameters of slot `key`."""
@@ -274,21 +229,19 @@ class SparsifierPools:
         )
 
     def all_states(self):
-        """Each stream state the pools hold once, spares' own states last;
-        none for offline pools."""
-        yield from dict.fromkeys(self.slot_states.values())
+        """The net graph of stream pools; none for offline pools."""
+        if self._net is not None:
+            yield self._net
 
     def feed(self, row) -> None:
-        """Apply one (u, v, delta) row to every held state: a batch of one."""
+        """Apply one (u, v, delta) row to the net graph: a batch of one."""
         self.feed_many([row])
 
     def feed_many(self, updates) -> None:
-        """Apply (u, v, delta) rows to each held state's `process_many`.
-
-        The states share n, so the first state's check rejects a bad batch
-        before any state changes."""
-        for st in self.all_states():
-            st.process_many(updates)
+        """Apply (u, v, delta) rows to the net graph as one checked batch;
+        offline pools hold none, and ignore them."""
+        for net in self.all_states():
+            net.process_many(updates)
 
     def phase1(self, depth: int) -> Graph:
         if not (1 <= depth <= self.sched.depth_bound):
@@ -304,33 +257,21 @@ class SparsifierPools:
 
     def _fetch(self, key: tuple) -> Graph:
         if key not in self._cache:
+            sp = self._slot_params(key)
             if self._graph is not None:
-                self._cache[key] = sample(self._graph, self._slot_params(key))
+                g = sample(self._graph, sp)
             else:
-                self._cache[key] = self._recover(key)
-        return self._cache[key]
-
-    def _recover(self, key: tuple) -> Graph:
-        """The slot's recovered sparsifier, retrying spares of its level."""
-        level = _slot_level(key)
-        g = self.slot_states[key].recover_sparsifier(self._slot_params(key))
-        while g is None:
-            if self.dense:
+                g = self._net.recover_sparsifier(sp)
+            if g is None:
                 raise StreamError(f"slot {key} reads a pair whose net count is not 1: "
                                   f"the fed stream's net graph is not simple")
-            if not self._spares[level]:
-                raise SketchFailExhausted(
-                    f"stream recovery failed with no spare left (level {level})"
-                )
-            self.fail_retries += 1
-            key = self._spares[level].pop(0)
-            g = self.slot_states[key].recover_sparsifier(self._slot_params(key))
-        return g
+            self._cache[key] = g
+        return self._cache[key]
 
     def memory_bytes(self) -> int:
         if self._graph is not None:
             return sum(g.edge_w.nbytes * 3 for g in self._cache.values())
-        return sum(st.memory_bytes() for st in self.all_states())
+        return self._net.memory_bytes()
 
 
 # old names kept for perfbench, whose tracer wraps each name's own `phase1`/`phase2`
@@ -359,7 +300,7 @@ class RunReport:
     singleton_count: int = 0
     verdicts: list = field(default_factory=list)
     sweep_fallbacks: int = 0
-    fail_retries: int = 0
+    fail_retries: int = 0  # always 0: a net-graph draw has no FAIL to retry
     pool_alg1_used: int = 0
     pool_alg2_used: int = 0
     composition_checks: int = 0
@@ -593,7 +534,6 @@ def decompose(source, params: DecompParams, reference_graph: Graph | None = None
     rep = driver.report
     rep.cluster_sizes = sorted((int(c.size) for c in clusters), reverse=True)
     rep.singleton_count = sum(1 for c in clusters if c.size == 1)
-    rep.fail_retries = pools.fail_retries
     rep.memory_bytes = pools.memory_bytes()
 
     if reference is not None:

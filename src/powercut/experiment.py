@@ -23,6 +23,7 @@ from .decompose import (
     verify_decomposition,
 )
 from .generators import gen_graph, gen_stream
+from .graph import parse_count
 from .prf import prf
 
 _TRIAL_TAG = 0x7472
@@ -66,7 +67,7 @@ class ExperimentConfig:
                     ("eps", "quality_k"), "decomp")
         _check_values(data["decomp"], _DECOMP_RULES, "decomp.")
         if data.get("stream") is not None:
-            _check_keys(data["stream"], ("churn", "spares"), (), "stream")
+            _check_keys(data["stream"], ("churn",), (), "stream")
             _check_values(data["stream"], _STREAM_RULES, "stream.")
         return cls(**data)
 
@@ -99,7 +100,6 @@ _DECOMP_RULES = {
 }
 _STREAM_RULES = {
     "churn": (lambda x: _is_number(x) and x >= 0, "a finite number >= 0"),
-    "spares": (lambda x: _is_int(x) and x >= 0, "an integer >= 0"),
 }
 
 
@@ -132,9 +132,17 @@ class TrialResult:
 
 
 def _worker_count() -> int:
+    """Threads for `run_experiment`: `PCS_THREADS` when set (ASCII digits,
+    at least 1, else ValueError naming it), otherwise min(8, CPUs)."""
     env = os.environ.get("PCS_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            count = parse_count(env)
+        except ValueError:
+            count = 0
+        if count < 1:
+            raise ValueError(f"PCS_THREADS must be an integer >= 1, got {env!r}")
+        return count
     return min(8, os.cpu_count() or 1)
 
 
@@ -150,7 +158,7 @@ def run_trial(config: ExperimentConfig, trial: int) -> TrialResult:
 
     start = time.perf_counter()
     if config.stream is not None:
-        pools = SparsifierPools(G.n, params, spares=config.stream.get("spares", 1))
+        pools = SparsifierPools(G.n, params)
         updates = gen_stream(G, config.stream.get("churn", 0.0), seed=prf(trial_seed, 2))
         pools.feed_many(updates)
         clusters, report = decompose(pools, params, reference_graph=G)

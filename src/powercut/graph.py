@@ -344,6 +344,14 @@ def parse_count(token: str) -> int:
     return int(token)
 
 
+def parse_weight(token: str) -> float:
+    """A weight read by `load_graph`: `float`, except that a token with '_'
+    or a non-ASCII character raises ValueError ('1_0' and '٣' are not 10, 3)."""
+    if not token.isascii() or "_" in token:
+        raise ValueError(f"not a weight: {token!r}")
+    return float(token)
+
+
 def load_graph(path) -> Graph:
     """Read the header "n m" and exactly m edge lines "u v" or "u v w";
     blank lines are skipped.  A malformed, out-of-range, nonpositive or
@@ -367,7 +375,7 @@ def load_graph(path) -> Graph:
                 raise GraphError(f"{where}: expected 'u v' or 'u v w', got {line.strip()!r}")
             try:
                 u, v = parse_count(parts[0]), parse_count(parts[1])
-                w = float(parts[2]) if len(parts) == 3 else 1.0
+                w = parse_weight(parts[2]) if len(parts) == 3 else 1.0
             except ValueError:
                 raise GraphError(f"{where}: ids must be nonnegative integers and the weight a number") from None
             if not (u < n and v < n):

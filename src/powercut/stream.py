@@ -15,13 +15,13 @@ a simple graph has degree at most n - 1, so j_v never exceeds the level cap
 L* = floor(log2((n - 1) / 2Y)) (`level_cap`, at most ceil(log2 n)): a state
 keeps levels 0..L* only, and every recovery caps j_v there too.
 
-Layout.  What a state keeps depends on the sparsity budget k:
+Layout.  What a `StreamState` keeps depends on the sparsity budget k:
 
-* k == n (`dense_slots`): the net graph, one symmetric (n, n) int64 block
-  of pair counts.  Every desk-scale pool is here, since k = min(n, ceil(8Y))
-  = n.  Slot (i, v) is row v filtered to the pairs of level >= i, so the
-  recovery of the slots (j_v, v) is `sample_offline`'s draw from the net
-  pairs (`_sampled_graph`), with no random FAILs.
+* k == n (`dense_slots`): a `NetGraph`, the degrees and one symmetric (n, n)
+  int64 block of net pair counts, which stream pools hold whatever k is.
+  Slot (i, v) is row v filtered to the pairs of level >= i, so the recovery
+  of the slots (j_v, v) is `sample_offline`'s draw from the net pairs
+  (`_sampled_graph`), with no random FAILs.
 * k < n: a sparse-recovery sketch per slot, one row of each of three
   (S, R, B) blocks `counts`, `id_sums` and `fps`, for R hash rows
   (`SketchParams.rows`, from the pair-collision bound) and B = 2k buckets.
@@ -31,10 +31,10 @@ Layout.  What a state keeps depends on the sparsity budget k:
 
 Input.  A stream is one (N, 3) int64 array of (u, v, delta) rows, delta +1
 an insert and -1 a delete: `load_stream` and `gen_stream` return it,
-`save_stream` writes it, and `StreamState.process_many`, the one checked
-entry, applies it as one batch, which by linearity a loop of its rows equals.
+`save_stream` writes it, and `process_many`, the one checked entry, applies
+it as one batch, which by linearity a loop of its rows equals.
 
-A dense state adds each update to the two entries of its pair.  A sketch
+A net graph adds each update to the two entries of its pair.  A sketch
 state expands a batch into (slot, index, delta) items by pair level, and
 `sketch.accumulate` nets, hashes and sums them into the blocks.  Updates are
 expanded `UPDATE_CHUNK` at a time and `accumulate` hashes at most
@@ -46,8 +46,6 @@ scalar updates bit for bit, and the sketch a dense state builds for a slot
 (`sketch_at`) equals the sketch the same updates would have built.  A sketch
 state recovers the n slots (j_v, v) by `sketch.peel` in groups of at most
 `sketch.WINDOW_CELLS` cells, and hands the pairs it peels to the same rule.
-The net block does not depend on the seed, so one dense state can serve
-every dense sample of a pool, each recovered under its own params.
 """
 
 from __future__ import annotations
@@ -69,9 +67,17 @@ _SKETCH_TAG = 0x536B
 # delta) items, so the item arrays of one pass stay at a few MB
 UPDATE_CHUNK = 1 << 16
 
+# most bytes a `NetGraph` may hold, 8n^2 + 8n, so n <= 16,383; the stream
+# pools of planted 4x50 (n = 200, 478 slots) hold one net graph of 0.32 MB
+POOL_BYTE_CAP = 2 << 30
+
 
 class StreamError(ValueError):
     pass
+
+
+class PoolTooLarge(ValueError):
+    """A net graph whose count block would need more than `POOL_BYTE_CAP` bytes."""
 
 
 def stream_rows(updates) -> np.ndarray:
@@ -122,17 +128,6 @@ def dense_slots(n: int, k: int) -> bool:
     return k == n
 
 
-def worst_case_bytes(n: int, params: SparsifierParams) -> int:
-    """Bytes a `StreamState` holds once every slot is touched, degrees
-    included: the (n, n) int64 net block of a dense state, or 3 int64 per
-    sketch bucket."""
-    levels, k, sketch_p = state_shape(n, params)
-    if dense_slots(n, k):
-        return 8 * n * n + 8 * n
-    slot = 24 * 2 * k * SketchParams(n, k, sketch_p, 0).rows
-    return (levels + 1) * n * slot + 8 * n
-
-
 def pick_level(deg: float, ups: float, max_level: int) -> int:
     """j_v = max(0, floor(log2(deg / (2Y)))), capped at `max_level`."""
     if deg <= 0:
@@ -146,6 +141,57 @@ def vertex_levels(deg, ups: float, max_level: int) -> np.ndarray:
     return np.array([pick_level(float(x), ups, max_level) for x in deg], dtype=np.int64)
 
 
+def _checked_update(deg: np.ndarray, updates):
+    """The (u, v, delta) columns of `updates` once every row is checked, with
+    their degree changes added to `deg`; a non-integer row or a bad pair
+    raises `StreamError` before anything changes."""
+    n = deg.size
+    u, v, delta = stream_rows(updates).T
+    bad = np.flatnonzero((u < 0) | (u >= n) | (v < 0) | (v >= n) | (u == v))
+    if bad.size:
+        t = int(bad[0])
+        raise StreamError(f"update ({u[t]},{v[t]}) out of range or a loop")
+    np.add.at(deg, u, delta)
+    np.add.at(deg, v, delta)
+    return u, v, delta
+
+
+class NetGraph:
+    """The net graph of a stream: n degree counters and one symmetric (n, n)
+    int64 block `counts` of net pair counts, kept at both (u, v) and (v, u).
+    It depends on no seed, so any number of samples can share it, each drawn
+    under its own params.  Above `POOL_BYTE_CAP` bytes (8n^2 + 8n) the
+    constructor raises `PoolTooLarge` before it allocates anything."""
+
+    def __init__(self, n: int):
+        if n < 1:
+            raise StreamError("need n >= 1")
+        need = 8 * n * n + 8 * n
+        if need > POOL_BYTE_CAP:
+            raise PoolTooLarge(f"a net graph over {n} vertices needs {need / 2**30:.3g} GiB, "
+                               f"above the byte cap POOL_BYTE_CAP = {POOL_BYTE_CAP:,}")
+        self.n = n
+        self.deg = np.zeros(n, dtype=np.int64)
+        self.counts = np.zeros((n, n), dtype=np.int64)
+
+    def process_many(self, updates) -> None:
+        """Apply (u, v, delta) rows as one batch; see `StreamState.process_many`."""
+        u, v, delta = _checked_update(self.deg, updates)
+        flat = self.counts.reshape(-1)  # a view: writes land in the block
+        np.add.at(flat, u * self.n + v, delta)
+        np.add.at(flat, v * self.n + u, delta)
+
+    def recover_sparsifier(self, params: SparsifierParams) -> Graph | None:
+        """The sampled graph of the net pairs under `params`, or None when a
+        pair the draw keeps has a net count other than 1 (the stream's net
+        graph is not simple)."""
+        u, v = np.nonzero(np.triu(self.counts, 1))
+        return _sampled_graph(self.n, params, self.deg, u, v, self.counts[u, v])
+
+    def memory_bytes(self) -> int:
+        return self.counts.nbytes + self.deg.nbytes
+
+
 class StreamState:
     """Entire memory footprint of the streaming algorithm for one sample.
 
@@ -157,11 +203,11 @@ class StreamState:
     it depends only on the net edge multiset.  Its randomness, pair levels
     and slot sketch seeds, derives from `params.seed` alone.
 
-    When k == n (`dense_slots`, decided once here and kept in `dense`), one
-    (n, n) int64 net block holds every slot; otherwise each touched slot is a
-    sketch, a row of three (S, R, B) blocks (see the module docstring).  Both
-    give the same `serialize` and, barring the sketch's random FAILs, the
-    same `recover_sparsifier`.
+    When k == n (`dense_slots`, decided once here and kept in `dense`), a
+    `NetGraph` holds every slot; otherwise each touched slot is a sketch, a
+    row of three (S, R, B) blocks (see the module docstring).  Both give the
+    same `serialize` and, barring the sketch's random FAILs, the same
+    `recover_sparsifier`.
     """
 
     def __init__(self, n: int, params: SparsifierParams):
@@ -173,12 +219,12 @@ class StreamState:
         self.upsilon = params.upsilon_for(n)
         self.levels, self.k, self.sketch_p = state_shape(n, params)
         self.dense = dense_slots(n, self.k)
-        self.deg = np.zeros(n, dtype=np.int64)
         self._level_seed = prf(self.seed, _LEVEL_TAG)
         if self.dense:
-            # net count of every pair, kept at both (u, v) and (v, u)
-            self._net = np.zeros((n, n), dtype=np.int64)
+            self._net = NetGraph(n)
+            self.deg = self._net.deg
             return
+        self.deg = np.zeros(n, dtype=np.int64)
         R, B = self._sketch_params(0).rows, 2 * self.k
         # slot (level, v) has key level * n + v and sketch seed
         # prf(seed, _SKETCH_TAG, level, v); _row[key] is its block row, or -1
@@ -230,10 +276,11 @@ class StreamState:
         if not (0 <= level <= self.levels and 0 <= v < self.n):
             raise StreamError(f"no sketch slot ({level}, {v})")
         if self.dense:
-            idx = np.flatnonzero(self._net[v])
+            row = self._net.counts[v]
+            idx = np.flatnonzero(row)
             idx = idx[pair_levels(self._level_seed, v, idx) >= level]
             sk = SparseRecoverySketch(self._sketch_params(prf(self.seed, _SKETCH_TAG, level, v)))
-            sk.update_many(idx, self._net[v, idx])
+            sk.update_many(idx, row[idx])
             return sk
         row = int(self._rows(np.array([level * self.n + v]))[0])
         sp = self._sketch_params(int(self._seeds[row]))
@@ -250,19 +297,10 @@ class StreamState:
         Every row is checked before anything changes, so a non-integer or
         a bad pair leaves the state as it was.  `updates` is only read.
         """
-        rows = stream_rows(updates)
-        u, v, delta = rows.T
-        bad = np.flatnonzero((u < 0) | (u >= self.n) | (v < 0) | (v >= self.n) | (u == v))
-        if bad.size:
-            t = int(bad[0])
-            raise StreamError(f"update ({u[t]},{v[t]}) out of range or a loop")
-        np.add.at(self.deg, u, delta)
-        np.add.at(self.deg, v, delta)
         if self.dense:
-            net = self._net.reshape(-1)  # a flat view: writes land in the block
-            np.add.at(net, u * self.n + v, delta)
-            np.add.at(net, v * self.n + u, delta)
+            self._net.process_many(updates)
             return
+        u, v, delta = _checked_update(self.deg, updates)
         for lo in range(0, u.size, UPDATE_CHUNK):
             hi = lo + UPDATE_CHUNK
             self._accumulate(u[lo:hi], v[lo:hi], delta[lo:hi])
@@ -293,8 +331,7 @@ class StreamState:
         `StreamError` for any other, before it touches a slot.
         """
         if self.dense:
-            u, v = np.nonzero(np.triu(self._net, 1))
-            return _sampled_graph(self.n, params or self.params, self.deg, u, v, self._net[u, v])
+            return self._net.recover_sparsifier(params or self.params)
         if params not in (None, self.params):
             raise StreamError("a sketch state recovers under its own params only")
         j = vertex_levels(self.deg, self.upsilon, self.levels)
@@ -331,7 +368,7 @@ class StreamState:
     def memory_bytes(self) -> int:
         """Bytes held by the net block or the sketch rows, and the degrees."""
         if self.dense:
-            return self._net.nbytes + self.deg.nbytes
+            return self._net.memory_bytes()
         row = sum(a.itemsize * math.prod(a.shape[1:]) for a in self._payload)
         return self._used * row + self.deg.nbytes
 

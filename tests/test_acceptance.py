@@ -335,7 +335,7 @@ def test_criterion_8_determinism(tmp_path):
         ExperimentConfig(
             generator={"model": "barbell", "c": 2, "s": 4, "bridges": 1},
             decomp={"eps": 0.3, "quality_k": 2, "mode": "exact"},
-            stream={"churn": 0.5, "spares": 1},
+            stream={"churn": 0.5},
             trials=1,
             seed=MASTER_SEED,
         ),

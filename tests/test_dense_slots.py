@@ -1,12 +1,12 @@
-"""Dense slots against the sketch path, and the pools' preflight byte cap.
+"""Dense slots against the sketch path, and the net graph's byte cap.
 
 A `StreamState` whose sparsity budget covers the universe (k == n) keeps
 the net graph, one count block that holds every slot.  Forcing the sketch
 path through the `stream.dense_slots` predicate must give the same
 serialized state and, where the sketch does not FAIL, the same recovered
-sparsifier and decomposition.  Dense stream pools must also decompose like
-offline pools that draw `sample_offline`.  A dense pool holds one state for
-all its slots, and every slot must draw what a state of its own would.
+sparsifier.  Stream pools hold one net graph whatever Y is: they must
+decompose like offline pools that draw `sample_offline`, and every slot
+must draw what a standalone state with the slot's params recovers.
 """
 
 import importlib
@@ -30,7 +30,9 @@ from powercut import (
     decompose,
     gen_stream,
     gnp_graph,
+    planted_partition_graph,
     sample_offline,
+    save_stream,
 )
 from powercut import stream as stream_mod
 from powercut.cli import main
@@ -175,42 +177,44 @@ def _report_without_memory(report):
     return fields
 
 
-@pytest.mark.parametrize("clique_size,seed", [(4, 1), (4, 2), (4, 42), (10, 1), (10, 7)])
-def test_dense_pools_decompose_like_sketch_pools(clique_size, seed):
-    B = barbell_graph(2, clique_size, 1)
-    params = DecompParams(eps=0.3, quality_k=2, seed=seed)
-    updates = gen_stream(B, churn=0.5, seed=seed)
-    dense = SparsifierPools(B.n, params)
-    with sketch_path():
-        sketched = SparsifierPools(B.n, params)
-    assert all(s.dense for s in dense.all_states())
-    assert not any(s.dense for s in sketched.all_states())
-    outcomes = []
-    for pools in (dense, sketched):
-        pools.feed_many(updates)
-        clusters, report = decompose(pools, params, reference_graph=B)
-        outcomes.append((sorted(c.tolist() for c in clusters), _report_without_memory(report),
-                         report.memory_bytes))
-    assert outcomes[0][:2] == outcomes[1][:2]
-    assert outcomes[0][2] < outcomes[1][2]
-
-
-@pytest.mark.parametrize(
-    "cliques,clique_size,seed",
-    [(2, 4, s) for s in (1, 2, 3, 4)] + [(2, 10, s) for s in (1, 5, 7)]
-    + [(3, 6, s) for s in (1, 3, 9, 11)],
+# (graph, upsilon_override, seed): barbells at the formula Y, and Y = 2 and
+# Y = 4, where k < n, so a standalone state with a slot's params would keep
+# sketches while the pools draw from the net graph
+POOL_CASES = (
+    [(("barbell", 2, 4), None, s) for s in (1, 2, 3, 4)]
+    + [(("barbell", 2, 10), None, s) for s in (1, 5, 7)]
+    + [(("barbell", 3, 6), None, s) for s in (1, 3, 9, 11)]
+    + [(("barbell", 2, 10), 2.0, s) for s in (1, 2, 3)]
+    + [(("planted", 4, 16), 4.0, s) for s in (1, 2, 3)]
 )
-def test_dense_stream_pools_decompose_like_offline_pools(monkeypatch, cliques, clique_size,
+
+
+def _case_id(case):
+    (model, c, size), ups, seed = case
+    if ups is None:
+        return f"{c}-{size}-{seed}"
+    return f"{model}-{c}x{size}-Y{ups:g}-{seed}"
+
+
+def _pool_graph(model, c, size):
+    if model == "barbell":
+        return barbell_graph(c, size, 1)
+    return planted_partition_graph(c, size, 0.5, 0.02, seed=1)
+
+
+@pytest.mark.parametrize("graph, upsilon_override, seed", POOL_CASES,
+                         ids=[_case_id(case) for case in POOL_CASES])
+def test_dense_stream_pools_decompose_like_offline_pools(monkeypatch, graph, upsilon_override,
                                                          seed):
-    # a dense state recovers exactly what `sample_offline` draws from the
-    # final graph with the slot's parameters, so stream pools must decompose
-    # like offline pools that draw `sample_offline`
-    B = barbell_graph(cliques, clique_size, 1)
-    params = DecompParams(eps=0.3, quality_k=2, seed=seed)
+    # each slot draws from the net graph exactly what `sample_offline` draws
+    # from the final graph with the slot's parameters, so stream pools must
+    # decompose like offline pools that draw `sample_offline`
+    B = _pool_graph(*graph)
+    params = DecompParams(eps=0.3, quality_k=2, seed=seed, upsilon_override=upsilon_override)
     pools = SparsifierPools(B.n, params)
-    assert all(s.dense for s in pools.all_states())
     pools.feed_many(gen_stream(B, churn=0.5, seed=seed))
     streamed, streamed_report = decompose(pools, params, reference_graph=B)
+    assert streamed_report.memory_bytes == 8 * B.n**2 + 8 * B.n
     monkeypatch.setattr(decompose_mod, "sample", sample_offline)
     offline, offline_report = decompose(B, params)
     assert [c.tolist() for c in streamed] == [c.tolist() for c in offline]
@@ -223,7 +227,7 @@ def test_dense_stream_pools_decompose_like_offline_pools(monkeypatch, cliques, c
             assert_same_graph(pools.phase2(j, h), drawn.phase2(j, h))
 
 
-# -- one state per distinct content ---------------------------------------------------
+# -- one net graph for every slot ----------------------------------------------------
 
 
 @pytest.mark.parametrize("graph, pool_kw, dense_levels", [
@@ -231,51 +235,52 @@ def test_dense_stream_pools_decompose_like_offline_pools(monkeypatch, cliques, c
     # k = ceil(8Y) = n again, but every vertex recovers at level 1, so the
     # slots' draws differ by seed
     ("K8", {"upsilon_override": 1.0}, {0, 1, 2, 3}),
+    # k = 4 < n: a standalone state keeps sketches, and may FAIL
     ("barbell", {"upsilon_override": 0.5}, set()),
 ], ids=["dense", "dense-sampled", "sketch"])
 def test_every_slot_draws_what_a_standalone_state_recovers(graph, pool_kw, dense_levels):
+    # a decomposition from sketches equals one from the net graph, barring
+    # FAILs: each slot's standalone state recovers the slot's draw
     B = barbell_graph(2, 4, 1) if graph == "barbell" else Graph(8, [
         (u, v) for u in range(8) for v in range(u + 1, 8)])
     params = DecompParams(eps=0.3, quality_k=2, seed=3, **pool_kw)
     updates = gen_stream(B, churn=0.5, seed=3)
     pools = SparsifierPools(B.n, params)
     pools.feed_many(updates)
-    slots = pools.slot_states  # every phase-one, phase-two and spare slot
-    dense = [key for key, state in slots.items() if state.dense]
-    assert {decompose_mod._slot_level(key) for key in dense} == dense_levels
-    # a pool is dense or sketched as a whole
-    assert len(dense) == (len(slots) if pools.dense else 0)
-    held = list(pools.all_states())
     # never empty: the benchmark divides by this count
-    assert len(held) == (1 if pools.dense else len(slots))
-    assert len(set(map(id, held))) == len(held)
-    for key, state in slots.items():
-        sp = pools._slot_params(key)
-        alone = StreamState(B.n, sp)
+    assert len(list(pools.all_states())) == 1
+    sched = pools.sched
+    keys = [("phase1", d) for d in range(1, sched.depth_bound + 1)]
+    keys += [("phase2", j, h) for j in range(1, sched.quality_k + 2)
+             for h in range(1, sched.alg2_pool_size + 1)]
+    dense, recovered = set(), 0
+    for key in keys:
+        alone = StreamState(B.n, pools._slot_params(key))
         alone.process_many(updates)
-        want, got = alone.recover_sparsifier(), state.recover_sparsifier(sp)
+        if alone.dense:
+            dense.add(decompose_mod._slot_level(key))
+        want = alone.recover_sparsifier()
+        got = pools.phase1(key[1]) if key[0] == "phase1" else pools.phase2(*key[1:])
         if want is None:
-            assert got is None
+            assert not alone.dense
             continue
+        recovered += 1
         assert_same_graph(got, want)
-        if key[0] != "spare":
-            fetched = pools.phase1(key[1]) if key[0] == "phase1" else pools.phase2(*key[1:])
-            assert_same_graph(fetched, want)
+    assert dense == dense_levels
+    assert recovered > len(keys) // 2
 
 
 @pytest.mark.parametrize("upsilon_override, seed", [(None, s) for s in range(1, 7)] + [(1.0, 2)])
 def test_dense_pool_refuses_a_stream_whose_net_graph_is_not_simple(upsilon_override, seed):
-    # a present edge inserted again: net count 2.  Every spare of a dense pool
-    # reads the same net graph, so none is tried
+    # a present edge inserted again: net count 2, which every slot's draw
+    # that keeps the pair reads
     B = barbell_graph(2, 4, 1)
     params = DecompParams(eps=0.3, quality_k=2, seed=seed, upsilon_override=upsilon_override)
-    pools = SparsifierPools(B.n, params, spares=3)
-    assert pools.dense
+    pools = SparsifierPools(B.n, params)
     updates = gen_stream(B, churn=0.0, seed=seed)
     pools.feed_many(np.concatenate([updates, updates[:1]]))
     with pytest.raises(StreamError):
         decompose(pools, params, reference_graph=B)
-    assert pools.fail_retries == 0
 
 
 def test_sketch_state_refuses_foreign_params():
@@ -295,38 +300,35 @@ def test_sketch_state_refuses_foreign_params():
     assert state.memory_bytes() > before
 
 
-# -- preflight byte cap ---------------------------------------------------------------
+# -- the net graph's byte cap ------------------------------------------------------
 
 
 def test_pools_over_the_cap_allocate_nothing(monkeypatch):
-    built = []
-
-    class CountingState(StreamState):
-        def __init__(self, *args, **kw):
-            built.append(1)
-            super().__init__(*args, **kw)
-
-    monkeypatch.setattr(decompose_mod, "StreamState", CountingState)
     B = barbell_graph(2, 4, 1)
     params = DecompParams(eps=0.3, quality_k=2, seed=1)
-    states = list(SparsifierPools(B.n, params).all_states())
-    assert len(built) == len(states)
-    need = sum(stream_mod.worst_case_bytes(B.n, s.params) for s in states)
-    monkeypatch.setattr(decompose_mod, "POOL_BYTE_CAP", need)
+    need = 8 * B.n**2 + 8 * B.n
+    assert SparsifierPools(B.n, params).memory_bytes() == need == 576
+    monkeypatch.setattr(stream_mod, "POOL_BYTE_CAP", need)
     SparsifierPools(B.n, params)
-    built.clear()
-    monkeypatch.setattr(decompose_mod, "POOL_BYTE_CAP", need - 1)
+    monkeypatch.setattr(stream_mod, "POOL_BYTE_CAP", need - 1)
     with pytest.raises(PoolTooLarge) as err:
         SparsifierPools(B.n, params)
     assert isinstance(err.value, ValueError)
-    assert not built
+    monkeypatch.undo()
+    # 18.6 GiB at the default cap: refused before anything is allocated,
+    # for the pools and for a single dense state alike
+    formula = SparsifierParams(delta=0.25, eps=0.5, seed=1)
+    with pytest.raises(PoolTooLarge, match="18.6 GiB"):
+        SparsifierPools(50_000, params)
+    with pytest.raises(PoolTooLarge, match="18.6 GiB"):
+        StreamState(50_000, formula)
 
 
 def test_cli_run_exits_2_for_pools_over_the_cap(tmp_path, monkeypatch):
     cfg = ExperimentConfig(
         generator={"model": "barbell", "c": 2, "s": 4, "bridges": 1},
         decomp={"eps": 0.3, "quality_k": 2, "mode": "exact"},
-        stream={"churn": 0.5, "spares": 1},
+        stream={"churn": 0.5},
         trials=1,
         seed=11,
     )
@@ -334,35 +336,34 @@ def test_cli_run_exits_2_for_pools_over_the_cap(tmp_path, monkeypatch):
     path.write_text(cfg.to_json())
     out = tmp_path / "m.csv"
     assert main(["run", "--config", str(path), "--out-csv", str(out)]) == 0
-    # the pools hold one net-count state of 8 * 8**2 + 8 * 8 = 576 bytes
-    monkeypatch.setattr(decompose_mod, "POOL_BYTE_CAP", 500)
+    # the pools hold one net graph of 8 * 8**2 + 8 * 8 = 576 bytes
+    monkeypatch.setattr(stream_mod, "POOL_BYTE_CAP", 500)
     assert main(["run", "--config", str(path), "--out-csv", str(out)]) == 2
 
 
-def test_cap_admits_dense_planted_4x50_and_refuses_its_sketch_budget():
-    params = DecompParams(eps=0.3, quality_k=2, seed=1)
-    pools = SparsifierPools(200, params)
-    # 478 slots, all dense, read one net-count state
-    states = list(pools.all_states())
-    assert len(pools.slot_states) == 478 and len(states) == 1 and states[0].dense
-    need = stream_mod.worst_case_bytes(200, states[0].params)
-    assert need == 8 * 200**2 + 8 * 200 == 321_600
-    assert pools.memory_bytes() == need
-    with sketch_path():
-        with pytest.raises(PoolTooLarge):
-            SparsifierPools(200, params)
+def test_cli_sketch_exits_2_for_a_dense_state_over_the_cap(tmp_path, monkeypatch, capsys):
+    B = barbell_graph(2, 4, 1)
+    path = tmp_path / "s.txt"
+    save_stream(B.n, gen_stream(B, churn=0.5, seed=1), path)
+    argv = ["sketch", "--stream", str(path), "--eps", "0.5", "--upsilon-override", "4",
+            "--out", str(tmp_path / "h.txt")]
+    # Y = 4 gives k = n = 8: a dense state, one net graph of 576 bytes
+    monkeypatch.setattr(stream_mod, "POOL_BYTE_CAP", 575)
+    assert main(argv) == 2
+    assert "POOL_BYTE_CAP = 575" in capsys.readouterr().err
+    assert not (tmp_path / "h.txt").exists()
+    monkeypatch.setattr(stream_mod, "POOL_BYTE_CAP", 576)
+    assert main(argv) == 0
 
 
-def test_cap_admits_sketch_pools_at_64_vertices_and_refuses_them_at_128():
-    # Y = 4 gives k = 32 < n: one sketch state a slot, each keeping levels
-    # 0..L* of R-row sketches.  Slots are lazy, so before the feed the
-    # admitted pools hold their degree counters alone
-    params = DecompParams(eps=0.3, quality_k=2, seed=1, upsilon_override=4.0)
-    pools = SparsifierPools(64, params)
-    states = list(pools.all_states())
-    assert not pools.dense and len(states) == 227
-    need = sum(stream_mod.worst_case_bytes(64, s.params) for s in states)
-    assert need <= decompose_mod.POOL_BYTE_CAP
-    assert pools.memory_bytes() == 227 * 8 * 64
-    with pytest.raises(PoolTooLarge):
-        SparsifierPools(128, params)
+@pytest.mark.parametrize("n, upsilon_override, net_bytes", [
+    # planted 4x50: 478 slots
+    (200, None, 321_600),
+    # k = 32 < n: a sketch state a slot needed 2.05 GiB here
+    (128, 4.0, 132_096),
+], ids=["planted-4x50", "n128-Y4"])
+def test_pools_hold_one_net_graph_whatever_y(n, upsilon_override, net_bytes):
+    params = DecompParams(eps=0.3, quality_k=2, seed=1, upsilon_override=upsilon_override)
+    pools = SparsifierPools(n, params)
+    (net,) = pools.all_states()
+    assert pools.memory_bytes() == net.memory_bytes() == 8 * n**2 + 8 * n == net_bytes

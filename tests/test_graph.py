@@ -344,6 +344,9 @@ def test_graph_file_roundtrip(tmp_path):
         ("3 1\n0\n", 2),  # truncated edge line
         ("3 1\n0 1 1 1\n", 2),  # extra field
         ("3 1\n0 a\n", 2),  # not an integer
+        ("3 1\n0 1 1_0\n", 2),  # float() reads 10.0
+        ("3 1\n0 1 \u0663\n", 2),  # float() reads 3.0
+        ("3 1\n0 1 2.\u0665\n", 2),  # float() reads 2.5
     ] + [(body.format(token), lineno) for token in NON_ASCII_DIGIT_TOKENS
          for body, lineno in [("{} 1\n0 1\n", 1), ("12 {}\n0 1\n", 1),
                               ("12 1\n{} 1\n", 2), ("12 1\n0 {}\n", 2)]],

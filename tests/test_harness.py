@@ -266,7 +266,7 @@ def test_run_experiment_config_roundtrip():
 
 
 def test_run_experiment_streaming_trial(tmp_path):
-    cfg = barbell_config(trials=1, stream={"churn": 0.5, "spares": 1})
+    cfg = barbell_config(trials=1, stream={"churn": 0.5})
     results = run_experiment(cfg, out_csv=tmp_path / "s.csv")
     assert len(results) == 1
     assert int(results[0].row["sketch_memory_bytes"]) > 0
@@ -277,6 +277,18 @@ def test_pcs_threads_respected(tmp_path, monkeypatch):
     out = tmp_path / "m.csv"
     run_experiment(barbell_config(trials=2), out_csv=out)
     assert len(out.read_text().splitlines()) == 3
+
+
+@pytest.mark.parametrize("threads", ["x", "0", "-5"])
+def test_cli_run_refuses_bad_pcs_threads(tmp_path, monkeypatch, capsys, threads):
+    # 0 and -5 used to run one thread, and x to name no variable
+    monkeypatch.setenv("PCS_THREADS", threads)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(barbell_config(trials=1).to_json())
+    out = tmp_path / "m.csv"
+    assert main(["run", "--config", str(cfg), "--out-csv", str(out)]) == 2
+    assert "PCS_THREADS" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # -- CLI ----------------------------------------------------------------------------
@@ -441,6 +453,8 @@ BAD_CONFIGS = {
     "generator-typo": (bad_config(generator={"model": "barbell", "c": 2, "s": 4, "bridge": 1}),
                        "'bridge'"),
     "stream-typo": (bad_config(stream={"churn": 0.5, "spare": 1}), "'spare'"),
+    # stream pools draw from one net graph, with no spare slots to size
+    "stream-spares": (bad_config(stream={"churn": 0.5, "spares": 1}), "'spares'"),
     "stream-not-an-object": (bad_config(stream=[0.5]), "stream must be a JSON object"),
 }
 
@@ -488,8 +502,6 @@ BAD_VALUES = {
                                         "stream.churn"),
     "stream-churn-nan": (bad_config(stream={"churn": float("nan")}), "stream.churn"),
     "stream-churn-inf": (bad_config(stream={"churn": float("inf")}), "stream.churn"),
-    "stream-spares-negative": (bad_config(stream={"churn": 0.5, "spares": -1}), "stream.spares"),
-    "stream-spares-float": (bad_config(stream={"churn": 0.5, "spares": 1.7}), "stream.spares"),
 }
 
 

@@ -44,7 +44,7 @@ seen["exact decompose and verify"] = scipy_modules()
 rows = pc.gen_stream(G, churn=0.5, seed=1)
 pc.save_stream(G.n, rows, out_dir + "/s.txt")
 n, rows = pc.load_stream(out_dir + "/s.txt")
-pools = pc.SparsifierPools(n, params, spares=1)
+pools = pc.SparsifierPools(n, params)
 pools.feed_many(rows)
 pc.decompose(pools, params, reference_graph=G)
 state = pc.StreamState(40, pc.SparsifierParams(delta=0.25, eps=0.5, upsilon_override=1.0, seed=5))

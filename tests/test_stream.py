@@ -5,6 +5,8 @@ import pytest
 
 from powercut import (
     Graph,
+    NetGraph,
+    SketchParams,
     SparsifierParams,
     StreamState,
     gen_stream,
@@ -20,7 +22,6 @@ from powercut.stream import (
     pick_level,
     save_stream,
     vertex_levels,
-    worst_case_bytes,
 )
 
 from conftest import NON_ASCII_DIGIT_TOKENS, complete_graph
@@ -240,17 +241,23 @@ def test_sample_offline_rejects_weighted_or_loopy():
 
 
 def test_space_accounting_matches_budget():
-    # what `PoolTooLarge`'s preflight adds up is what a state comes to hold
+    # a sketch state holds 3 int64 per bucket of each touched slot, and the
+    # degrees
     st = StreamState(32, small_params())
     assert not st.dense
     assert st.memory_bytes() == st.deg.nbytes
     st.serialize()  # touches every slot
-    assert st.memory_bytes() == worst_case_bytes(32, st.params)
+    slot = 24 * 2 * st.k * SketchParams(32, st.k, st.sketch_p, 0).rows
+    assert st.memory_bytes() == (st.levels + 1) * 32 * slot + 8 * 32
+    # what the `PoolTooLarge` check adds up, 8n^2 + 8n, is what a net graph
+    # and a dense state hold from the start
+    net_bytes = 8 * 32**2 + 8 * 32
+    assert NetGraph(32).memory_bytes() == net_bytes
     dense = StreamState(32, small_params(upsilon_override=4.0))
     assert dense.dense
-    assert dense.memory_bytes() == worst_case_bytes(32, dense.params)
+    assert dense.memory_bytes() == net_bytes
     dense.process_many(gen_stream(gnp_graph(32, 0.3, seed=1), churn=0.5, seed=2))
-    assert dense.memory_bytes() == worst_case_bytes(32, dense.params)
+    assert dense.memory_bytes() == net_bytes
 
 
 def test_stream_file_roundtrip(tmp_path):
