@@ -575,8 +575,12 @@ def verify_decomposition(G: Graph, clusters, eps: float, phi: float) -> VerifyRe
     """Check the (eps, phi)-expander-decomposition property of a partition.
 
     Intercluster volume is exact; per-cluster expansion is exact up to
-    `BRUTE_FORCE_LIMIT` vertices and falls back to a sweep-based estimate
-    above (flagged via `exact=False` in the verdicts).
+    `BRUTE_FORCE_LIMIT` vertices and decided by one sweep above (flagged via
+    `exact=False` in the verdicts).  A sweep cut refutes the cluster.  An
+    Expander verdict is a proof when the sweep's Cheeger certificate gave it
+    (clusters of at most `cuts.CERTIFY_LIMIT` vertices whose lambda_2 / 2
+    clears phi) and an estimate otherwise; the verdict does not yet say
+    which.
     """
     norm = check_partition(G, clusters)
     total = G.total_volume

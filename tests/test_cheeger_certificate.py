@@ -1,0 +1,180 @@
+"""The sweep's Cheeger certificate: sound against brute force, skipped where
+it cannot apply, and outcome-neutral against the power-iteration path.
+
+`_certified_expander` claims that lambda_2 / 2 of the normalized Laplacian
+proves every cut's Phi' above phi_limit; the brute-force minimum over all
+cuts checks that claim.  With the check patched off, the sweep must reach
+the same Expander verdict (or fail numerically), must still equal the
+scalar reference of `test_sweep_arrays.py` outcome for outcome, and a whole
+decomposition must give byte-identical reports and clusters.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from powercut import (
+    DecompParams,
+    Graph,
+    SweepNumericFailure,
+    decompose,
+    planted_partition_graph,
+    random_regular_graph,
+    sweep_balanced_cut,
+    verify_decomposition,
+)
+from powercut import cuts
+
+from conftest import complete_graph
+from test_sweep_arrays import FAST, multigraphs, outcome, ref_sweep, run
+
+
+def min_phi_prime(H, deg_g):
+    """min over cuts of w_H(S, rest) / min(Vol(S), Vol(rest)), volumes in deg_g."""
+    n = H.n
+    masks = np.arange(1, 1 << (n - 1), dtype=np.int64)  # S excludes vertex n-1
+    inside = (masks[:, None] >> np.arange(n)) & 1
+    crosses = inside[:, H.edge_u] != inside[:, H.edge_v]
+    cut_w = crosses.astype(np.float64) @ H.edge_w
+    vol_s = inside.astype(np.float64) @ deg_g
+    return float(np.min(cut_w / np.minimum(vol_s, deg_g.sum() - vol_s)))
+
+
+def lambda_2(H, deg_g):
+    """Second eigenvalue of D_g^{-1/2} L_H D_g^{-1/2}, built edge by edge."""
+    lap = np.zeros((H.n, H.n))
+    for u, v, w in zip(H.edge_u.tolist(), H.edge_v.tolist(), H.edge_w.tolist()):
+        if u != v:
+            lap[u, u] += w
+            lap[v, v] += w
+            lap[u, v] -= w
+            lap[v, u] -= w
+    s = 1.0 / np.sqrt(deg_g)
+    return float(np.linalg.eigvalsh(s[:, None] * lap * s[None, :])[1])
+
+
+def random_cluster(rng):
+    """A weighted graph with loops, and original degrees above H's own, as a
+    sparsified cluster has them."""
+    n = int(rng.integers(2, 15))
+    p = float(rng.uniform(0.3, 1.0))
+    u, v = np.triu_indices(n, 1)
+    keep = rng.random(u.size) < p
+    u, v = u[keep], v[keep]
+    loops = np.flatnonzero(rng.random(n) < 0.3)
+    eu = np.concatenate([u, loops])
+    ev = np.concatenate([v, loops])
+    w = rng.choice([0.5, 1.0, 2.0, 4.0], size=eu.size) * rng.uniform(0.8, 1.25, eu.size)
+    H = Graph.from_arrays(n, eu, ev, w)
+    deg_g = H.deg * rng.uniform(1.0, 3.0, n) + rng.integers(0, 3, n)
+    return H, deg_g
+
+
+def test_certificate_is_sound_against_brute_force():
+    rng = np.random.default_rng(2024)
+    certified = refused = 0
+    for _ in range(300):
+        H, deg_g = random_cluster(rng)
+        if np.any(deg_g <= 0):
+            continue
+        best = min_phi_prime(H, deg_g)
+        half_lam = lambda_2(H, deg_g) / 2.0
+        assert best >= half_lam * (1.0 - 1e-9) - 1e-12  # Cheeger's easy direction
+        # targets around lambda_2 / 2, where the margin decides
+        for factor in (0.5, 0.9, 0.999999, 1.0, 1.001, 2.0):
+            phi_limit = half_lam * factor
+            if not cuts._certified_expander(H, deg_g, phi_limit):
+                refused += 1
+                continue
+            certified += 1
+            assert best > phi_limit
+            assert factor < 1.0
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(cuts, "_certified_expander", lambda *a: False)
+                try:
+                    out = sweep_balanced_cut(H, deg_g, phi_limit, 0.0)
+                except SweepNumericFailure:
+                    continue
+            assert out.expander
+    assert certified > 200 and refused > 200
+
+
+def test_certificate_skips_what_it_cannot_prove(monkeypatch):
+    K8 = complete_graph(8)
+    assert cuts._certified_expander(K8, K8.deg, 0.3)
+    # a zero original degree
+    deg = K8.deg.copy()
+    deg[3] = 0.0
+    assert not cuts._certified_expander(K8, deg, 0.3)
+    # a disconnected H has lambda_2 = 0
+    two = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    assert not cuts._certified_expander(two, two.deg, 1e-9)
+    # one vertex
+    one = Graph(1, [(0, 0, 2.0)])
+    assert not cuts._certified_expander(one, one.deg, 0.0)
+    # above the size limit
+    monkeypatch.setattr(cuts, "CERTIFY_LIMIT", 7)
+    assert not cuts._certified_expander(K8, K8.deg, 0.3)
+    monkeypatch.setattr(cuts, "CERTIFY_LIMIT", 8)
+    assert cuts._certified_expander(K8, K8.deg, 0.3)
+
+
+def test_certified_sweep_spends_no_power_step(monkeypatch):
+    K16 = complete_graph(16)
+
+    def no_walk(*args):
+        raise AssertionError("power iteration ran on a certified cluster")
+
+    monkeypatch.setattr(cuts, "_second_vector", no_walk)
+    assert sweep_balanced_cut(K16, K16.deg, 0.3, 0.0, max_iter=1).expander
+
+
+@pytest.mark.parametrize("name", ["k16", "regular-60-18"])
+def test_power_iteration_path_still_declares_expanders(name, monkeypatch):
+    if name == "k16":
+        H, phi = complete_graph(16), 0.3
+    else:
+        H, phi = random_regular_graph(60, 18, 1), 0.1
+    assert cuts._certified_expander(H, H.deg, phi)
+    monkeypatch.setattr(cuts, "_certified_expander", lambda *a: False)
+    assert sweep_balanced_cut(H, H.deg, phi, 0.0).expander
+
+
+@FAST
+@given(H=multigraphs(), phi=st.sampled_from([0.05, 0.2, 0.5, 0.9]),
+       scale=st.sampled_from([None, 1.0, 2.5]),
+       max_iter=st.sampled_from([None, 1, 2, 8]))
+def test_uncertified_sweep_matches_reference(H, phi, scale, max_iter):
+    # `ref_sweep` runs `sweep_balanced_cut` too, so with the certificate on
+    # both sides would stop at it; off, every draw reaches the power iteration
+    deg_g = H.deg if scale is None else H.deg * scale + (np.arange(H.n) % 3)
+    args = (H, deg_g, phi, 0.0, 1e-8, max_iter)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cuts, "_certified_expander", lambda *a: False)
+        assert outcome(run(cuts.sweep_balanced_cut, *args)) == outcome(run(ref_sweep, *args))
+
+
+def run_outputs(G, params):
+    clusters, rep = decompose(G, params)
+    check = verify_decomposition(G, clusters, params.eps, rep.phi_final)
+    return rep, rep.to_json(), check.to_json(), [c.tolist() for c in clusters]
+
+
+def test_decomposition_is_byte_identical_without_the_certificate(monkeypatch):
+    # planted 5x50 in fast mode reaches phase two at this seed
+    G = planted_partition_graph(5, 50, 0.3, 0.0002, 4)
+    params = DecompParams(eps=0.3, quality_k=2, mode="fast", seed=4)
+    verdicts = []
+    real = cuts._certified_expander
+
+    def counted(*args):
+        verdicts.append(real(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(cuts, "_certified_expander", counted)
+    rep, *with_check = run_outputs(G, params)
+    assert rep.iterations and any(verdicts) and not all(verdicts)
+    monkeypatch.setattr(cuts, "_certified_expander", lambda *a: False)
+    _, *without = run_outputs(G, params)
+    assert with_check == without

@@ -12,15 +12,19 @@ import subprocess
 import sys
 from pathlib import Path
 
-from powercut import DecompParams, decompose, planted_partition_graph, verify_decomposition
+from powercut import (DecompParams, barbell_graph, decompose, planted_partition_graph,
+                      verify_decomposition)
 from powercut.experiment import ExperimentConfig, run_experiment
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# fast mode sweeps, and two 30-vertex blocks are above the exact limit, so
-# verify sweeps them too
+# fast mode, and two 30-vertex blocks above the exact limit: every cluster
+# the decomposition and verify meet is a certified expander, so nothing sweeps
 FAST_GRAPH = dict(c=2, s=30, p_in=0.6, p_out=0.005)
 FAST_PARAMS = dict(eps=0.3, quality_k=2, mode="fast", seed=5)
+# two 30-cliques joined by one bridge: a genuine sparse cut, which the
+# certificate cannot prove away, so the first sweep runs
+SWEPT_GRAPH = (2, 30, 1)
 
 COLD_RUN = """
 import json, sys
@@ -56,9 +60,15 @@ G = pc.planted_partition_graph(seed=3, **%(graph)r)
 params = pc.DecompParams(**%(params)r)
 clusters, rep = pc.decompose(G, params)
 check = pc.verify_decomposition(G, clusters, params.eps, rep.phi_final)
-print(json.dumps({"seen": seen, "sparse_after_fast": "scipy.sparse" in sys.modules,
+seen["certified fast decompose and verify"] = scipy_modules()
+
+B = pc.barbell_graph(*%(swept)r)
+swept_clusters, swept_rep = pc.decompose(B, params)
+print(json.dumps({"seen": seen, "sparse_after_sweep": "scipy.sparse" in sys.modules,
                   "report": rep.to_json(), "verify": check.to_json(),
-                  "clusters": [c.tolist() for c in clusters]}))
+                  "clusters": [c.tolist() for c in clusters],
+                  "swept_report": swept_rep.to_json(),
+                  "swept_clusters": [c.tolist() for c in swept_clusters]}))
 """
 
 THREADED_RUN = """
@@ -83,19 +93,27 @@ def run_cold(script, *args, **env):
 
 
 def test_scipy_loads_only_on_the_first_sweep(tmp_path):
-    got = run_cold(COLD_RUN % {"graph": FAST_GRAPH, "params": FAST_PARAMS}, str(tmp_path))
+    got = run_cold(COLD_RUN % {"graph": FAST_GRAPH, "params": FAST_PARAMS,
+                               "swept": SWEPT_GRAPH}, str(tmp_path))
     assert got["seen"] == {"import": [], "exact decompose and verify": [],
-                           "stream pools and sketched state": []}
-    assert got["sparse_after_fast"]
+                           "stream pools and sketched state": [],
+                           "certified fast decompose and verify": []}
+    assert got["sparse_after_sweep"]
 
     G = planted_partition_graph(seed=3, **FAST_GRAPH)
     params = DecompParams(**FAST_PARAMS)
     clusters, rep = decompose(G, params)
     check = verify_decomposition(G, clusters, params.eps, rep.phi_final)
-    assert any(not v["exact"] for v in rep.verdicts)  # the run did sweep
+    # clusters above the exact limit, decided by the certificate
+    assert any(not v["exact"] for v in rep.verdicts)
     assert got["report"] == rep.to_json()
     assert got["verify"] == check.to_json()
     assert got["clusters"] == [c.tolist() for c in clusters]
+
+    B = barbell_graph(*SWEPT_GRAPH)
+    swept_clusters, swept_rep = decompose(B, params)
+    assert got["swept_report"] == swept_rep.to_json()
+    assert got["swept_clusters"] == [c.tolist() for c in swept_clusters]
 
 
 def without_wall_time(results):
