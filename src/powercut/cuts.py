@@ -23,7 +23,11 @@ Phi' <= phi, so its Expander verdict is a proof and no power step runs.
 
 The sweep is the package's only user of scipy and imports it once it gets
 past the certificate, so a run whose every sweep is certified, or that
-never sweeps, never loads scipy.
+never sweeps, never loads scipy.  The power iteration calls scipy's private
+CSR kernel directly, with the diagonal folded into the matrix, and
+`decompose` passes its sweeps one memo of the walks already run: at the
+formula Y a sweep's last peeling round often walks exactly as the next
+depth's first walk on the rest of the cluster, and that walk runs once.
 """
 
 from __future__ import annotations
@@ -201,25 +205,68 @@ def _components(view: _ClusterView, active: np.ndarray) -> list[np.ndarray]:
     return [sub[labels == c] for c in range(ncomp)]
 
 
+def _with_diagonal_last(A, diag: np.ndarray):
+    """CSR arrays (indptr, indices, data) of A + diag(diag), each diagonal
+    entry stored after the rest of its row.
+
+    scipy's `csr_matvec` adds a row's products onto its output entry in
+    storage order, so into a zeroed buffer it computes ``(A @ z) + diag * z``
+    bit for bit.
+    """
+    n = A.shape[0]
+    ends = A.indptr[1:]
+    indptr = A.indptr + np.arange(n + 1, dtype=A.indptr.dtype)
+    indices = np.insert(A.indices, ends, np.arange(n, dtype=A.indices.dtype))
+    return indptr, indices, np.insert(A.data, ends, diag)
+
+
 def _second_vector(view: _ClusterView, active_ids: np.ndarray,
-                   max_iter: int, tol: float) -> np.ndarray:
+                   max_iter: int, tol: float, walks: dict | None = None) -> np.ndarray:
     """Approximate 2nd eigenvector of the lazy walk matrix on the active set.
 
     Self-loops plus degree lost to peeled vertices sit on the diagonal, so
     every vertex keeps its full H-degree and sqrt(deg) is the exact top
-    eigenvector used for deflation.
+    eigenvector used for deflation.  Each step calls scipy's private
+    `csr_matvec` kernel on `_with_diagonal_last`'s arrays and runs every
+    elementwise pass into preallocated buffers, so the vectors are those of
+    ``(A @ z) + diag * z`` bit for bit, without the public operator's
+    dispatch and allocations.
+
+    `walks`, when given, memoizes walks across the sweeps of one
+    decomposition.  A walk depends only on the local edge lists, the
+    H-degrees and tol, so their digest is the key; the value is the vector
+    and the step at which it returned.  A hit returns a copy when that step
+    fits max_iter and otherwise raises `SweepNumericFailure`, as the walk
+    would under the smaller budget.  Walks that fail are not stored.
     """
     from scipy.sparse import csr_matrix
+    from scipy.sparse._sparsetools import csr_matvec
     n_a = active_ids.size
     pos = -np.ones(view.n, dtype=np.int64)
     pos[active_ids] = np.arange(n_a)
     rows, cols, vals = view.inside(active_ids)
     rows, cols = pos[rows], pos[cols]
+    d = view.deg_h[active_ids]
+    key = None
+    if walks is not None:
+        import hashlib
+        digest = hashlib.blake2b(repr((n_a, rows.size, tol)).encode())
+        for part in (rows, cols, vals, d):
+            digest.update(part.tobytes())
+        key = digest.digest()
+        if key in walks:
+            vec, steps = walks[key]
+            if steps > max_iter:
+                raise SweepNumericFailure(
+                    f"power iteration did not stagnate in {max_iter} iterations"
+                )
+            return vec.copy()
+
     # summed entry by entry in row order, like a per-row loop
     inner = np.bincount(rows, vals, minlength=n_a)
-    d = view.deg_h[active_ids]
     diag = d - inner  # loops plus peeled-away degree
-    A = csr_matrix((vals, (rows, cols)), shape=(n_a, n_a))
+    indptr, indices, data = _with_diagonal_last(
+        csr_matrix((vals, (rows, cols)), shape=(n_a, n_a)), diag)
     inv_sqrt = 1.0 / np.sqrt(d)
     u_top = np.sqrt(d)
     u_top /= math.sqrt(float(u_top @ u_top))
@@ -235,27 +282,40 @@ def _second_vector(view: _ClusterView, active_ids: np.ndarray,
         nrm = math.sqrt(float(x @ x))
     x /= nrm
 
-    def walk(y):
-        z = inv_sqrt * y
-        z = A @ z + diag * z
-        return 0.5 * (y + inv_sqrt * z)
+    z, az = np.empty(n_a), np.empty(n_a)
 
-    # walk(y) serves both the Rayleigh quotient of y and the next step
-    wx = walk(x)
+    def walk(y, out):
+        np.multiply(inv_sqrt, y, out=z)
+        az.fill(0.0)
+        csr_matvec(n_a, n_a, indptr, indices, data, z, az)
+        np.multiply(inv_sqrt, az, out=az)
+        np.add(y, az, out=out)
+        np.multiply(out, 0.5, out=out)
+        return out
+
+    def done(vec, steps):
+        if key is not None:
+            walks[key] = (vec.copy(), steps)
+        return vec
+
+    # walk(y) serves both the Rayleigh quotient of y and the next step; the
+    # three buffers rotate so that x survives the step that computes y
+    wx, free = walk(x, np.empty(n_a)), np.empty(n_a)
     prev_r = math.inf
-    for _ in range(max_iter):
+    for step in range(1, max_iter + 1):
         y = wx
-        y -= u_top * (u_top @ y)
+        np.multiply(u_top, u_top @ y, out=z)
+        y -= z
         nrm = math.sqrt(float(y @ y))
         if nrm < 1e-14:
-            return x
+            return done(x, step)
         y /= nrm
-        wx = walk(y)
+        wx = walk(y, free)
         r = float(y @ wx)
         if abs(r - prev_r) <= tol * max(1.0, abs(r)):
-            return y
+            return done(y, step)
         prev_r = r
-        x = y
+        x, free = y, x
     raise SweepNumericFailure(
         f"power iteration did not stagnate in {max_iter} iterations"
     )
@@ -296,6 +356,7 @@ def sweep_balanced_cut(
     delta: float,
     tol: float = 1e-8,
     max_iter: int | None = None,
+    walks: dict | None = None,
 ) -> BalancedCutOutcome:
     """Polynomial balanced-cut heuristic with the Def-4.1-shaped contract.
 
@@ -312,6 +373,11 @@ def sweep_balanced_cut(
     power step, when the Cheeger certificate (`_certified_expander`, up to
     `CERTIFY_LIMIT` vertices) proves that no cut has Phi' <= phi; a
     certified cluster consumes none of `max_iter`.
+
+    `walks` is `_second_vector`'s power-iteration memo.  `decompose` passes
+    one dict to every sweep of a call and drops it when the call ends, so
+    a repeated decomposition runs its walks again; `verify_decomposition`
+    and direct calls pass none.  The outcome is the same either way.
     """
     deg_g = np.asarray(deg_g, dtype=np.float64)
     if deg_g.shape != (H.n,):
@@ -352,7 +418,10 @@ def sweep_balanced_cut(
         elif len(pieces) == 1 and pieces[0].size > 1:
             comp = pieces[0]
             try:
-                vec = _second_vector(view, comp, max_iter, tol)
+                # without a memo, the four-argument form that the scalar
+                # reference walk also takes
+                vec = (_second_vector(view, comp, max_iter, tol) if walks is None
+                       else _second_vector(view, comp, max_iter, tol, walks))
             except SweepNumericFailure:
                 if taken:
                     break

@@ -361,6 +361,8 @@ class Decomposer:
         self.params = pools.params
         self.sched = pools.sched
         self.reference = reference
+        # power-iteration memo for this decomposition (see cuts._second_vector)
+        self.walks: dict = {}
         params, sched = self.params, self.sched
         self.report = RunReport(
             mode=params.mode,
@@ -389,7 +391,8 @@ class Decomposer:
             if self.params.mode == EXACT_MODE:
                 self.report.sweep_fallbacks += 1
             try:
-                out = sweep_balanced_cut(H_c, deg_local, phi, self.params.delta)
+                out = sweep_balanced_cut(H_c, deg_local, phi, self.params.delta,
+                                         walks=self.walks)
             except SweepNumericFailure:
                 if C.size <= BRUTE_FORCE_LIMIT:
                     out = exhaustive_balanced_cut(H_c, deg_local, phi, self.params.delta)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
@@ -298,3 +298,35 @@ def test_step_budget_is_unchanged():
     assert not sweep_balanced_cut(B, B.deg, 0.2, 0.0, max_iter=k).expander
     with pytest.raises(SweepNumericFailure):
         sweep_balanced_cut(B, B.deg, 0.2, 0.0, max_iter=k - 1)
+
+
+# -- the folded product --------------------------------------------------------------
+
+
+@FAST
+@given(case=peeled(), scale=st.sampled_from([1e-3, 1.0, 1e3]))
+@example(
+    # parallel edges (0, 1), a loop at 1, an only-diagonal row at 4, and
+    # degree peeled away from 2 and 3 with vertex 5
+    case=(Graph(6, [(0, 1, 1.5), (0, 1, 2.0), (1, 1, 3.0), (1, 2, 0.7), (2, 3, 1.1),
+                    (2, 5, 0.3), (3, 5, 2.5), (4, 4, 1.0)]),
+          np.array([True, True, True, True, True, False])),
+    scale=1.0,
+)
+def test_diagonal_last_product_is_bit_equal(case, scale):
+    # csr_matvec into zeros over the folded arrays must be A @ z + diag * z
+    from scipy.sparse._sparsetools import csr_matvec
+    H, active = case
+    ids = np.flatnonzero(active)
+    if ids.size == 0:
+        return
+    pos = -np.ones(H.n, dtype=np.int64)
+    pos[ids] = np.arange(ids.size)
+    rows, cols, vals = cuts._ClusterView.from_graph(H).inside(ids)
+    rows, cols = pos[rows], pos[cols]
+    diag = H.deg[ids] - np.bincount(rows, vals, minlength=ids.size)
+    A = csr_matrix((vals, (rows, cols)), shape=(ids.size, ids.size))
+    z = np.random.default_rng(H.n).standard_normal(ids.size) * scale
+    got = np.zeros(ids.size)
+    csr_matvec(ids.size, ids.size, *cuts._with_diagonal_last(A, diag), z, got)
+    assert got.tobytes() == (A @ z + diag * z).tobytes()
