@@ -4,8 +4,9 @@ Verbs: gen-graph, gen-stream, sparsify (offline sample), sketch (run the
 stream engine over a stream file and dump the recovered sparsifier),
 decompose, verify, run (experiment config).
 
-Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 `powercut sketch` recovery FAIL.
+Exit codes: 0 success, 1 verification failure, 2 configuration error or a
+power iteration that does not converge (`SweepNumericFailure`), 3
+`powercut sketch` recovery FAIL.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import json
 import sys
 
+from .cuts import SweepNumericFailure
 from .decompose import (
     DecompParams,
     DecompositionInvariantError,
@@ -199,7 +201,8 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.cmd](args)
-    except (GraphError, PoolExhausted, DecompositionInvariantError, ValueError, KeyError, OSError, json.JSONDecodeError) as e:
+    except (GraphError, PoolExhausted, DecompositionInvariantError, SweepNumericFailure,
+            ValueError, KeyError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
 

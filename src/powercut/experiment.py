@@ -13,7 +13,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 
 from .decompose import (
@@ -194,11 +193,17 @@ def run_trial(config: ExperimentConfig, trial: int) -> TrialResult:
 def run_experiment(config: ExperimentConfig, out_csv=None, out_json=None):
     """Run all trials (thread pool capped by PCS_THREADS), merge in order.
 
+    Threads that share the CPUs time each other's work: only with one
+    thread do the trials' `wall_time_ms` figures add up within the run.
+
     Returns the list of TrialResult; optionally writes the metrics CSV and a
     JSON sidecar with the full per-trial run and verification reports.
     """
     results: list[TrialResult] = []
     if config.trials > 0:
+        # here, not at the top: every CLI verb imports this module
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
             futures = [pool.submit(run_trial, config, t) for t in range(config.trials)]
             results = [f.result() for f in futures]

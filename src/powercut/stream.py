@@ -25,8 +25,9 @@ Layout.  What a `StreamState` keeps depends on the sparsity budget k:
 * k < n: a sparse-recovery sketch per slot, one row of each of three
   (S, R, B) blocks `counts`, `id_sums` and `fps`, for R hash rows
   (`SketchParams.rows`, from the pair-collision bound) and B = 2k buckets.
-  Slots are lazy: a slot gets a row the first time an update, a recovery
-  or `sketch_at` touches it, and an untouched slot is zero, so laziness
+  Slots are lazy: a slot gets a row the first time an update touches it.
+  Reads (`recover_sparsifier`, `sketch_at`, `serialize`) allocate nothing:
+  an untouched slot reads as the zero sketch under its seed, so laziness
   never changes observable state.
 
 Input.  A stream is one (N, 3) int64 array of (u, v, delta) rows, delta +1
@@ -204,9 +205,10 @@ class StreamState:
     and slot sketch seeds, derives from `params.seed` alone.
 
     When k == n (`dense_slots`, decided once here and kept in `dense`), a
-    `NetGraph` holds every slot; otherwise each touched slot is a sketch, a
-    row of three (S, R, B) blocks (see the module docstring).  Both give the
-    same `serialize` and, barring the sketch's random FAILs, the same
+    `NetGraph` holds every slot; otherwise each slot an update touched is a
+    sketch, a row of three (S, R, B) blocks (see the module docstring), and
+    reads allocate no row: an untouched slot is the zero sketch.  Both give
+    the same `serialize` and, barring the sketch's random FAILs, the same
     `recover_sparsifier`.
     """
 
@@ -270,21 +272,23 @@ class StreamState:
 
     def sketch_at(self, level: int, v: int) -> SparseRecoverySketch:
         """A copy of the sketch of slot (level, v): a sketch state's block
-        rows, touching the slot, or a dense state's row v filtered to the
-        pairs of level >= `level`, by linearity the same sketch.  Writes to
-        it do not reach the state."""
+        rows (the zero sketch, with no row allocated, for a slot no update
+        touched), or a dense state's row v filtered to the pairs of level >=
+        `level`, by linearity the same sketch.  Writes to it do not reach
+        the state."""
         if not (0 <= level <= self.levels and 0 <= v < self.n):
             raise StreamError(f"no sketch slot ({level}, {v})")
+        row = -1 if self.dense else int(self._row[level * self.n + v])
+        if row >= 0:
+            sp = self._sketch_params(int(self._seeds[row]))
+            return SparseRecoverySketch(sp, tuple(a[row].copy() for a in self._payload))
+        sk = SparseRecoverySketch(self._sketch_params(prf(self.seed, _SKETCH_TAG, level, v)))
         if self.dense:
-            row = self._net.counts[v]
-            idx = np.flatnonzero(row)
+            counts = self._net.counts[v]
+            idx = np.flatnonzero(counts)
             idx = idx[pair_levels(self._level_seed, v, idx) >= level]
-            sk = SparseRecoverySketch(self._sketch_params(prf(self.seed, _SKETCH_TAG, level, v)))
-            sk.update_many(idx, row[idx])
-            return sk
-        row = int(self._rows(np.array([level * self.n + v]))[0])
-        sp = self._sketch_params(int(self._seeds[row]))
-        return SparseRecoverySketch(sp, tuple(a[row].copy() for a in self._payload))
+            sk.update_many(idx, counts[idx])
+        return sk
 
     def process(self, row) -> None:
         """Apply one (u, v, delta) row: a batch of one."""
@@ -335,17 +339,19 @@ class StreamState:
         if params not in (None, self.params):
             raise StreamError("a sketch state recovers under its own params only")
         j = vertex_levels(self.deg, self.upsilon, self.levels)
-        # touches the n slots, and may grow the block: before reading it
-        rows = self._rows(j * self.n + np.arange(self.n))
+        rows = self._row[j * self.n + np.arange(self.n)]
+        # an untouched slot (j_v, v) is the zero sketch, which peels to nothing
+        verts = np.flatnonzero(rows >= 0)
+        rows = rows[verts]
         R, B = self._payload[0].shape[1:]
         group = max(1, WINDOW_CELLS // (R * B))
-        found, fail = [], False
-        for a in range(0, self.n, group):
+        found, fail = [(np.zeros(0, dtype=np.int64),) * 3], False
+        for a in range(0, verts.size, group):
             g = rows[a : a + group]  # fancy indexing: the peel gets copies
             slot, index, value, failed = peel(*(block[g] for block in self._payload),
                                               sketch_row_seeds(self._seeds[g], R),
                                               sketch_fp_bases(self._seeds[g]), self.n)
-            found.append((slot + a, index, value))
+            found.append((verts[slot + a], index, value))
             fail |= failed.any()
         v, u, x = map(np.concatenate, zip(*found))
         if fail or (np.bincount(v, minlength=self.n) > self.k).any():

@@ -23,6 +23,7 @@ from powercut import (
     DecompParams,
     Graph,
     PoolTooLarge,
+    SketchParams,
     SparsifierParams,
     SparsifierPools,
     StreamState,
@@ -91,8 +92,10 @@ def test_dense_state_equals_sketch_state(stream, seed, ups_frac):
     want = sketched.recover_sparsifier()
     if want is not None:
         assert_same_graph(got, want)
-    # recovery leaves the sketch state holding a row for each of the n slots
-    assert dense.memory_bytes() <= sketched.memory_bytes()
+    # a dense state is no larger than the n slots a recovery reads, held as
+    # sketch rows
+    shape = SketchParams(G.n, sketched.k, sketched.sketch_p, 0)
+    assert dense.memory_bytes() <= G.n * 24 * shape.rows * shape.buckets_per_row + 8 * G.n
     assert dense.serialize() == sketched.serialize()
 
 
@@ -294,10 +297,10 @@ def test_sketch_state_refuses_foreign_params():
         with pytest.raises(StreamError):
             state.recover_sparsifier(other)
         assert state.memory_bytes() == before
-    # params equal to its own are accepted, and this recovery touches slots
-    # that no update reached
+    # params equal to its own are accepted, and a recovery allocates no row
+    # for the slots that no update reached
     assert_same_graph(state.recover_sparsifier(replace(sp)), state.recover_sparsifier())
-    assert state.memory_bytes() > before
+    assert state.memory_bytes() == before
 
 
 # -- the net graph's byte cap ------------------------------------------------------

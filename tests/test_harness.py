@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -279,6 +280,18 @@ def test_pcs_threads_respected(tmp_path, monkeypatch):
     assert len(out.read_text().splitlines()) == 3
 
 
+def test_one_thread_trial_times_add_up_within_the_run(monkeypatch):
+    # with one thread each wall_time_ms is that trial's own time, so the
+    # figures cannot add up to more than the run took
+    monkeypatch.setenv("PCS_THREADS", "1")
+    cfg = barbell_config(trials=4, record_timing=True,
+                         generator={"model": "planted", "c": 3, "s": 7, "p_in": 0.9, "p_out": 0.02})
+    start = time.perf_counter()
+    results = run_experiment(cfg)
+    run_ms = (time.perf_counter() - start) * 1000.0
+    assert sum(float(r.row["wall_time_ms"]) for r in results) <= run_ms
+
+
 @pytest.mark.parametrize("threads", ["x", "0", "-5"])
 def test_cli_run_refuses_bad_pcs_threads(tmp_path, monkeypatch, capsys, threads):
     # 0 and -5 used to run one thread, and x to name no variable
@@ -315,6 +328,18 @@ def test_cli_verify_failure_exit_code(tmp_path):
     part.write_text("".join(f"{v} {v}\n" for v in range(8)))
     assert main(["verify", "--graph", str(g), "--partition", str(part),
                  "--eps", "0.3", "--phi", "0.01"]) == 1
+
+
+def test_cli_verify_exits_2_when_the_power_iteration_does_not_converge(tmp_path, capsys):
+    # a 60-cycle is too large to enumerate, so verify sweeps it, and at phi
+    # 0.9 the power iteration does not stagnate within its budget
+    g, part, rpt = tmp_path / "g.txt", tmp_path / "p.txt", tmp_path / "r.json"
+    save_graph(Graph(60, [(v, (v + 1) % 60) for v in range(60)]), g)
+    part.write_text("".join(f"{v} 0\n" for v in range(60)))
+    assert main(["verify", "--graph", str(g), "--partition", str(part), "--eps", "0.3",
+                 "--phi", "0.9", "--report", str(rpt)]) == 2
+    assert "error: power iteration did not stagnate" in capsys.readouterr().err
+    assert not rpt.exists()
 
 
 def test_cli_config_error_exit_code(tmp_path):

@@ -1,4 +1,5 @@
-"""scipy loads only when a spectral sweep runs.
+"""scipy loads only when a spectral sweep runs, and the CLI loads no
+thread module.
 
 Each test starts a fresh interpreter, since the pytest process has long
 since imported scipy: the module list of a cold `import powercut` is the
@@ -11,6 +12,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from powercut import (DecompParams, barbell_graph, decompose, planted_partition_graph,
                       verify_decomposition)
@@ -83,10 +86,20 @@ print(json.dumps({"before": before, "sparse_after": "scipy.sparse" in sys.module
 """
 
 
-def run_cold(script, *args, **env):
+CLI_IMPORT = """
+import json, sys
+before = set(sys.modules)
+import powercut.cli
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def run_cold(script, *args, flags=(), path=(), **env):
+    """Run `script` in a fresh interpreter started with `flags`, with the
+    source tree and `path` ahead of PYTHONPATH; its last stdout line as JSON."""
     full_env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
-        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    done = subprocess.run([sys.executable, "-c", script, *args], env=full_env,
+        [str(SRC), *path] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, *flags, "-c", script, *args], env=full_env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.splitlines()[-1])
@@ -133,3 +146,12 @@ def test_first_scipy_import_inside_worker_threads(monkeypatch):
             for r in run_experiment(ExperimentConfig(**config))]
     assert all(row["wall_time_ms"] for row, _, _ in want)
     assert without_wall_time(got["results"]) == without_wall_time(json.loads(json.dumps(want)))
+
+
+def test_cli_import_loads_no_thread_modules():
+    # -S: site's own imports (threading, on some installs) would hide what
+    # powercut adds, so numpy's directory goes on the path by hand
+    numpy_dir = str(Path(np.__file__).resolve().parent.parent)
+    added = run_cold(CLI_IMPORT, flags=("-S",), path=(numpy_dir,))
+    assert "powercut.cli" in added
+    assert [m for m in added if m == "threading" or m.startswith("concurrent")] == []

@@ -241,14 +241,23 @@ def test_sample_offline_rejects_weighted_or_loopy():
 
 
 def test_space_accounting_matches_budget():
-    # a sketch state holds 3 int64 per bucket of each touched slot, and the
-    # degrees
+    # a sketch state holds 3 int64 per bucket of each slot an update touched,
+    # and the degrees; reads allocate nothing
     st = StreamState(32, small_params())
     assert not st.dense
     assert st.memory_bytes() == st.deg.nbytes
-    st.serialize()  # touches every slot
+    rows = gen_stream(gnp_graph(32, 0.05, seed=1), churn=0.5, seed=2)
+    st.process_many(rows)
+    u, v = rows[:, 0].tolist(), rows[:, 1].tolist()
+    top = np.minimum(pair_levels(prf(st.seed, _LEVEL_TAG), u, v), st.levels).tolist()
+    touched = {(i, x) for a, b, t in zip(u, v, top) for i in range(t + 1) for x in (a, b)}
     slot = 24 * 2 * st.k * SketchParams(32, st.k, st.sketch_p, 0).rows
-    assert st.memory_bytes() == (st.levels + 1) * 32 * slot + 8 * 32
+    held = len(touched) * slot + 8 * 32
+    assert len(touched) < (st.levels + 1) * 32
+    assert st.memory_bytes() == held
+    st.recover_sparsifier()
+    st.serialize()
+    assert st.memory_bytes() == held
     # what the `PoolTooLarge` check adds up, 8n^2 + 8n, is what a net graph
     # and a dense state hold from the start
     net_bytes = 8 * 32**2 + 8 * 32

@@ -352,6 +352,25 @@ def test_process_batching_gives_identical_state_on_sketch_path(stream, seed, dat
     assert one.serialize() == whole.serialize() == split.serialize()
 
 
+def zero_slot(state, i, vtx):
+    """Oracle of a slot no update touched: the zero sketch under its seed."""
+    seed_iv = prf(state.seed, _SKETCH_TAG, i, vtx)
+    return SparseRecoverySketch(SketchParams(state.n, state.k, state.sketch_p, seed_iv))
+
+
+def scalar_slots(state, updates):
+    """Oracle: {(level, vertex): sketch} of the slots `updates` touch in a
+    sketch state shaped like `state`, built by scalar `update` calls."""
+    refs, level_seed = {}, prf(state.seed, _LEVEL_TAG)
+    for u, v, delta in updates.tolist():
+        for i in range(min(pair_level(level_seed, u, v), state.levels) + 1):
+            for vtx, idx in ((u, v), (v, u)):
+                if (i, vtx) not in refs:
+                    refs[(i, vtx)] = zero_slot(state, i, vtx)
+                refs[(i, vtx)].update(idx, delta)
+    return refs
+
+
 @FAST
 @given(stream=churned_streams(max_n=10), seed=st.integers(0, 10**6))
 def test_each_slot_matches_scalar_reference_on_sketch_path(stream, seed):
@@ -360,21 +379,35 @@ def test_each_slot_matches_scalar_reference_on_sketch_path(stream, seed):
     state = StreamState(G.n, sp)
     assert not state.dense
     state.process_many(updates)
-    refs, level_seed = {}, prf(sp.seed, _LEVEL_TAG)
-    for u, v, delta in updates.tolist():
-        for i in range(min(pair_level(level_seed, u, v), state.levels) + 1):
-            for vtx, idx in ((u, v), (v, u)):
-                if (i, vtx) not in refs:
-                    seed_iv = prf(sp.seed, _SKETCH_TAG, i, vtx)
-                    refs[(i, vtx)] = SparseRecoverySketch(
-                        SketchParams(G.n, state.k, state.sketch_p, seed_iv))
-                refs[(i, vtx)].update(idx, delta)
+    refs = scalar_slots(state, updates)
     shape = SketchParams(G.n, state.k, state.sketch_p, 0)
     slot_bytes = 24 * shape.rows * shape.buckets_per_row
     assert state.memory_bytes() == len(refs) * slot_bytes + state.deg.nbytes
     for (i, vtx), ref in refs.items():
         assert state.sketch_at(i, vtx).serialize() == ref.serialize()
     assert np.array_equal(state.deg, G.deg.astype(np.int64))
+
+
+def test_reads_allocate_no_rows_on_sketch_path():
+    # barbell 2x10 and 10 vertices that no update touches
+    B = barbell_graph(2, 10, 1)
+    G = Graph(30, list(zip(B.edge_u.tolist(), B.edge_v.tolist())))
+    sp = params(upsilon_override=0.5, seed=5)
+    state = StreamState(G.n, sp)
+    assert not state.dense
+    updates = gen_stream(G, churn=0.5, seed=1)
+    state.process_many(updates)
+    held = state.memory_bytes()
+    H = state.recover_sparsifier()
+    blob = state.serialize()
+    assert state.memory_bytes() == held
+    assert_same_graph(H, sample_offline(G, sp))
+    # every slot no update touched reads as the zero sketch under its seed
+    refs = scalar_slots(state, updates)
+    slots = [(i, vtx) for i in range(state.levels + 1) for vtx in range(G.n)]
+    assert len(refs) < len(slots)
+    assert blob == state.deg.tobytes() + b"".join(
+        (refs[key] if key in refs else zero_slot(state, *key)).serialize() for key in slots)
 
 
 def test_engine_chunks_and_windows_match_one_pass_on_sketch_path(monkeypatch):
