@@ -5,7 +5,7 @@ stream engine over a stream file and dump the recovered sparsifier),
 decompose, verify, run (experiment config).
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error or a
-power iteration that does not converge (`SweepNumericFailure`), 3
+sweep eigensolve that does not converge (`SweepNumericFailure`), 3
 `powercut sketch` recovery FAIL.
 """
 

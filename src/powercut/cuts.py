@@ -12,22 +12,19 @@ returns the one of maximum volume, ties broken by lexicographically
 smallest vertex set.
 
 `sweep_balanced_cut` is the polynomial stand-in for the flow-based balanced
-cut black box: power iteration for the second eigenvector of the lazy
-normalized walk matrix, a sweep over prefixes of the eigenvector order, and
-iterative peeling of successive sub-phi sweep cuts to improve balance until
-the accumulated cut reaches half the cluster volume or no sub-phi sweep cut
-remains.  Its advertised constants are measured, not proven.  On clusters
-of at most `CERTIFY_LIMIT` vertices it first tries a Cheeger certificate:
-when lambda_2 / 2 of the normalized Laplacian clears phi, no cut has
-Phi' <= phi, so its Expander verdict is a proof and no power step runs.
+cut black box: the second eigenvector of the lazy normalized walk matrix
+from one `scipy.sparse.linalg.eigsh` call (ARPACK's Lanczos), a sweep over
+prefixes of the eigenvector order, and iterative peeling of successive
+sub-phi sweep cuts to improve balance until the accumulated cut reaches
+half the cluster volume or no sub-phi sweep cut remains.  Its advertised
+constants are measured, not proven.  On clusters of at most
+`CERTIFY_LIMIT` vertices it first tries a Cheeger certificate: when
+lambda_2 / 2 of the normalized Laplacian clears phi, no cut has
+Phi' <= phi, so its Expander verdict is a proof and no eigensolve runs.
 
 The sweep is the package's only user of scipy and imports it once it gets
 past the certificate, so a run whose every sweep is certified, or that
-never sweeps, never loads scipy.  The power iteration calls scipy's private
-CSR kernel directly, with the diagonal folded into the matrix, and
-`decompose` passes its sweeps one memo of the walks already run: at the
-formula Y a sweep's last peeling round often walks exactly as the next
-depth's first walk on the rest of the cluster, and that walk runs once.
+never sweeps, never loads scipy.
 """
 
 from __future__ import annotations
@@ -50,7 +47,7 @@ CERTIFY_LIMIT = 256
 
 
 class SweepNumericFailure(RuntimeError):
-    """Power iteration failed to stagnate within its iteration budget."""
+    """The sweep's eigensolve (ARPACK) did not converge."""
 
 
 @dataclass(frozen=True)
@@ -205,120 +202,48 @@ def _components(view: _ClusterView, active: np.ndarray) -> list[np.ndarray]:
     return [sub[labels == c] for c in range(ncomp)]
 
 
-def _with_diagonal_last(A, diag: np.ndarray):
-    """CSR arrays (indptr, indices, data) of A + diag(diag), each diagonal
-    entry stored after the rest of its row.
+def _second_vector(view: _ClusterView, active_ids: np.ndarray) -> np.ndarray:
+    """Second eigenvector of the lazy walk matrix W = I - N_h / 2 on the
+    active set: W = (I + D_h^{-1/2} A D_h^{-1/2}) / 2, with the loops plus
+    the degree lost to peeled vertices on A's diagonal.
 
-    scipy's `csr_matvec` adds a row's products onto its output entry in
-    storage order, so into a zeroed buffer it computes ``(A @ z) + diag * z``
-    bit for bit.
+    Every row of A sums to the vertex's full H-degree, so sqrt(deg) is the
+    top eigenvector, eigenvalue 1.  One `eigsh` call (ARPACK's Lanczos)
+    finds the top two from the fixed start vector x0 = sin(1 + 0.7 i); a
+    connected pair takes the closed form, the unit vector orthogonal to
+    sqrt(deg).  The sign makes x0 @ vec nonnegative, the sign that a power
+    iteration from x0 would converge to.  ARPACK from a fixed start is
+    deterministic, so a degenerate lambda_2 (a cycle, say) still gives one
+    vector per input.  Raises `SweepNumericFailure` when ARPACK does not
+    converge.
     """
-    n = A.shape[0]
-    ends = A.indptr[1:]
-    indptr = A.indptr + np.arange(n + 1, dtype=A.indptr.dtype)
-    indices = np.insert(A.indices, ends, np.arange(n, dtype=A.indices.dtype))
-    return indptr, indices, np.insert(A.data, ends, diag)
-
-
-def _second_vector(view: _ClusterView, active_ids: np.ndarray,
-                   max_iter: int, tol: float, walks: dict | None = None) -> np.ndarray:
-    """Approximate 2nd eigenvector of the lazy walk matrix on the active set.
-
-    Self-loops plus degree lost to peeled vertices sit on the diagonal, so
-    every vertex keeps its full H-degree and sqrt(deg) is the exact top
-    eigenvector used for deflation.  Each step calls scipy's private
-    `csr_matvec` kernel on `_with_diagonal_last`'s arrays and runs every
-    elementwise pass into preallocated buffers, so the vectors are those of
-    ``(A @ z) + diag * z`` bit for bit, without the public operator's
-    dispatch and allocations.
-
-    `walks`, when given, memoizes walks across the sweeps of one
-    decomposition.  A walk depends only on the local edge lists, the
-    H-degrees and tol, so their digest is the key; the value is the vector
-    and the step at which it returned.  A hit returns a copy when that step
-    fits max_iter and otherwise raises `SweepNumericFailure`, as the walk
-    would under the smaller budget.  Walks that fail are not stored.
-    """
-    from scipy.sparse import csr_matrix
-    from scipy.sparse._sparsetools import csr_matvec
     n_a = active_ids.size
-    pos = -np.ones(view.n, dtype=np.int64)
-    pos[active_ids] = np.arange(n_a)
-    rows, cols, vals = view.inside(active_ids)
-    rows, cols = pos[rows], pos[cols]
     d = view.deg_h[active_ids]
-    key = None
-    if walks is not None:
-        import hashlib
-        digest = hashlib.blake2b(repr((n_a, rows.size, tol)).encode())
-        for part in (rows, cols, vals, d):
-            digest.update(part.tobytes())
-        key = digest.digest()
-        if key in walks:
-            vec, steps = walks[key]
-            if steps > max_iter:
-                raise SweepNumericFailure(
-                    f"power iteration did not stagnate in {max_iter} iterations"
-                )
-            return vec.copy()
-
-    # summed entry by entry in row order, like a per-row loop
-    inner = np.bincount(rows, vals, minlength=n_a)
-    diag = d - inner  # loops plus peeled-away degree
-    indptr, indices, data = _with_diagonal_last(
-        csr_matrix((vals, (rows, cols)), shape=(n_a, n_a)), diag)
-    inv_sqrt = 1.0 / np.sqrt(d)
-    u_top = np.sqrt(d)
-    u_top /= math.sqrt(float(u_top @ u_top))
-
-    # deterministic start vector, generically non-orthogonal to the target
-    x = np.array([math.sin(1.0 + 0.7 * i) for i in range(n_a)])
-    x -= u_top * (u_top @ x)
-    nrm = math.sqrt(float(x @ x))
-    if nrm < 1e-14:
-        x = np.ones(n_a)
-        x[::2] = -1.0
-        x -= u_top * (u_top @ x)
-        nrm = math.sqrt(float(x @ x))
-    x /= nrm
-
-    z, az = np.empty(n_a), np.empty(n_a)
-
-    def walk(y, out):
-        np.multiply(inv_sqrt, y, out=z)
-        az.fill(0.0)
-        csr_matvec(n_a, n_a, indptr, indices, data, z, az)
-        np.multiply(inv_sqrt, az, out=az)
-        np.add(y, az, out=out)
-        np.multiply(out, 0.5, out=out)
-        return out
-
-    def done(vec, steps):
-        if key is not None:
-            walks[key] = (vec.copy(), steps)
-        return vec
-
-    # walk(y) serves both the Rayleigh quotient of y and the next step; the
-    # three buffers rotate so that x survives the step that computes y
-    wx, free = walk(x, np.empty(n_a)), np.empty(n_a)
-    prev_r = math.inf
-    for step in range(1, max_iter + 1):
-        y = wx
-        np.multiply(u_top, u_top @ y, out=z)
-        y -= z
-        nrm = math.sqrt(float(y @ y))
-        if nrm < 1e-14:
-            return done(x, step)
-        y /= nrm
-        wx = walk(y, free)
-        r = float(y @ wx)
-        if abs(r - prev_r) <= tol * max(1.0, abs(r)):
-            return done(y, step)
-        prev_r = r
-        x, free = y, x
-    raise SweepNumericFailure(
-        f"power iteration did not stagnate in {max_iter} iterations"
-    )
+    ids = np.arange(n_a)
+    x0 = np.sin(1.0 + 0.7 * ids)
+    if n_a == 2:
+        vec = np.array([math.sqrt(d[1]), -math.sqrt(d[0])])
+    else:
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+        pos = -np.ones(view.n, dtype=np.int64)
+        pos[active_ids] = ids
+        rows, cols, vals = view.inside(active_ids)
+        rows, cols = pos[rows], pos[cols]
+        inv_sqrt = 1.0 / np.sqrt(d)
+        diag = d - np.bincount(rows, vals, minlength=n_a)  # loops plus peeled-away degree
+        W = csr_matrix(
+            (np.concatenate([0.5 * vals * inv_sqrt[rows] * inv_sqrt[cols],
+                             0.5 + 0.5 * diag / d]),
+             (np.concatenate([rows, ids]), np.concatenate([cols, ids]))),
+            shape=(n_a, n_a))
+        try:
+            _, vecs = eigsh(W, k=2, which="LA", v0=x0)
+        except ArpackNoConvergence as exc:
+            raise SweepNumericFailure(f"eigsh did not converge: {exc}") from exc
+        vec = vecs[:, 0]  # eigenvalues come ascending: lambda_2, then 1
+    vec /= math.sqrt(float(vec @ vec))
+    return vec if x0 @ vec >= 0 else -vec
 
 
 def _best_sweep_prefix(view: _ClusterView, order: np.ndarray, deg_g: np.ndarray,
@@ -353,31 +278,23 @@ def sweep_balanced_cut(
     H: Graph,
     deg_g: np.ndarray,
     phi: float,
-    delta: float,
-    tol: float = 1e-8,
-    max_iter: int | None = None,
-    walks: dict | None = None,
 ) -> BalancedCutOutcome:
     """Polynomial balanced-cut heuristic with the Def-4.1-shaped contract.
 
     A disconnected H yields an immediate zero-sparsity cut.  Otherwise sweep
-    cuts of the approximate Fiedler order with Phi' <= phi are peeled off one
-    after another (each measured within the remaining subgraph, volumes in
-    original degrees) until the union reaches half the cluster volume or no
-    qualifying sweep cut remains.  When the next cut would push the union
-    past half, the rest of the cluster (the union's complement, with the
-    same cut edges) is returned instead if its Phi' <= phi and it is more
-    balanced than the union so far; an unbalanced answer thus still means
-    that the sweep found no balanced sparse cut.  Expander is declared only
-    when the very first sweep finds no cut with Phi' <= phi, or, before any
-    power step, when the Cheeger certificate (`_certified_expander`, up to
-    `CERTIFY_LIMIT` vertices) proves that no cut has Phi' <= phi; a
-    certified cluster consumes none of `max_iter`.
-
-    `walks` is `_second_vector`'s power-iteration memo.  `decompose` passes
-    one dict to every sweep of a call and drops it when the call ends, so
-    a repeated decomposition runs its walks again; `verify_decomposition`
-    and direct calls pass none.  The outcome is the same either way.
+    cuts of the Fiedler order (`_second_vector`) with Phi' <= phi are peeled
+    off one after another (each measured within the remaining subgraph,
+    volumes in original degrees) until the union reaches half the cluster
+    volume or no qualifying sweep cut remains.  When the next cut would push
+    the union past half, the rest of the cluster (the union's complement,
+    with the same cut edges) is returned instead if its Phi' <= phi and it
+    is more balanced than the union so far; an unbalanced answer thus still
+    means that the sweep found no balanced sparse cut.  Expander is declared
+    only when the very first sweep finds no cut with Phi' <= phi, or, before
+    any eigensolve, when the Cheeger certificate (`_certified_expander`, up
+    to `CERTIFY_LIMIT` vertices) proves that no cut has Phi' <= phi.  Raises
+    `SweepNumericFailure` when the first round's eigensolve fails; a later
+    round's failure ends the peeling with the cut taken so far.
     """
     deg_g = np.asarray(deg_g, dtype=np.float64)
     if deg_g.shape != (H.n,):
@@ -389,8 +306,6 @@ def sweep_balanced_cut(
     if _certified_expander(H, deg_g, phi_limit):
         return EXPANDER
     view = _ClusterView.from_graph(H)
-    if max_iter is None:
-        max_iter = math.ceil(10.0 * math.log2(max(H.n, 2)) / max(phi, 1e-4)) + 20
 
     active = np.ones(H.n, dtype=bool)
     taken: list[np.ndarray] = []
@@ -418,10 +333,7 @@ def sweep_balanced_cut(
         elif len(pieces) == 1 and pieces[0].size > 1:
             comp = pieces[0]
             try:
-                # without a memo, the four-argument form that the scalar
-                # reference walk also takes
-                vec = (_second_vector(view, comp, max_iter, tol) if walks is None
-                       else _second_vector(view, comp, max_iter, tol, walks))
+                vec = _second_vector(view, comp)
             except SweepNumericFailure:
                 if taken:
                     break

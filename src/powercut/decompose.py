@@ -361,8 +361,6 @@ class Decomposer:
         self.params = pools.params
         self.sched = pools.sched
         self.reference = reference
-        # power-iteration memo for this decomposition (see cuts._second_vector)
-        self.walks: dict = {}
         params, sched = self.params, self.sched
         self.report = RunReport(
             mode=params.mode,
@@ -391,8 +389,7 @@ class Decomposer:
             if self.params.mode == EXACT_MODE:
                 self.report.sweep_fallbacks += 1
             try:
-                out = sweep_balanced_cut(H_c, deg_local, phi, self.params.delta,
-                                         walks=self.walks)
+                out = sweep_balanced_cut(H_c, deg_local, phi)
             except SweepNumericFailure:
                 if C.size <= BRUTE_FORCE_LIMIT:
                     out = exhaustive_balanced_cut(H_c, deg_local, phi, self.params.delta)
@@ -566,7 +563,7 @@ def _cluster_verdict(G: Graph, C: np.ndarray, phi: float) -> ClusterVerdict:
         passed = min_phi >= phi * (1.0 - REL_SLACK)
         value = None if math.isinf(min_phi) else float(min_phi)
         return ClusterVerdict(int(C.size), True, value, bool(passed))
-    out = sweep_balanced_cut(sub, sub.deg, phi, 0.0)
+    out = sweep_balanced_cut(sub, sub.deg, phi)
     if out.expander:
         return ClusterVerdict(int(C.size), False, None, True)
     actual = sub.conductance(out.cut)
@@ -582,8 +579,10 @@ def verify_decomposition(G: Graph, clusters, eps: float, phi: float) -> VerifyRe
     `exact=False` in the verdicts).  A sweep cut refutes the cluster.  An
     Expander verdict is a proof when the sweep's Cheeger certificate gave it
     (clusters of at most `cuts.CERTIFY_LIMIT` vertices whose lambda_2 / 2
-    clears phi) and an estimate otherwise; the verdict does not yet say
-    which.
+    clears phi) and otherwise an estimate: the sweeps along the cluster's
+    Fiedler vector (`eigsh`) found no cut below phi.  The verdict does not
+    yet say which.  Raises `SweepNumericFailure` when that eigensolve does
+    not converge.
     """
     norm = check_partition(G, clusters)
     total = G.total_volume

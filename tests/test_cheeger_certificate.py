@@ -1,12 +1,12 @@
 """The sweep's Cheeger certificate: sound against brute force, skipped where
-it cannot apply, and outcome-neutral against the power-iteration path.
+it cannot apply, and outcome-neutral against the eigensolver path.
 
 `_certified_expander` claims that lambda_2 / 2 of the normalized Laplacian
 proves every cut's Phi' above phi_limit; the brute-force minimum over all
 cuts checks that claim.  With the check patched off, the sweep must reach
-the same Expander verdict (or fail numerically), must still equal the
-scalar reference of `test_sweep_arrays.py` outcome for outcome, and a whole
-decomposition must give byte-identical reports and clusters.
+the same Expander verdict, must still agree with the dense-oracle reference
+of `test_sweep_arrays.py`, and a whole decomposition must give
+byte-identical reports and clusters.
 """
 
 import numpy as np
@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from powercut import (
     DecompParams,
     Graph,
-    SweepNumericFailure,
     decompose,
     planted_partition_graph,
     random_regular_graph,
@@ -27,7 +26,7 @@ from powercut import (
 from powercut import cuts
 
 from conftest import complete_graph
-from test_sweep_arrays import FAST, multigraphs, outcome, ref_sweep, run
+from test_sweep_arrays import FAST, check_sweep_against_oracle, multigraphs
 
 
 def min_phi_prime(H, deg_g):
@@ -92,11 +91,7 @@ def test_certificate_is_sound_against_brute_force():
             assert factor < 1.0
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(cuts, "_certified_expander", lambda *a: False)
-                try:
-                    out = sweep_balanced_cut(H, deg_g, phi_limit, 0.0)
-                except SweepNumericFailure:
-                    continue
-            assert out.expander
+                assert sweep_balanced_cut(H, deg_g, phi_limit).expander
     assert certified > 200 and refused > 200
 
 
@@ -124,10 +119,10 @@ def test_certified_sweep_spends_no_power_step(monkeypatch):
     K16 = complete_graph(16)
 
     def no_walk(*args):
-        raise AssertionError("power iteration ran on a certified cluster")
+        raise AssertionError("eigensolve ran on a certified cluster")
 
     monkeypatch.setattr(cuts, "_second_vector", no_walk)
-    assert sweep_balanced_cut(K16, K16.deg, 0.3, 0.0, max_iter=1).expander
+    assert sweep_balanced_cut(K16, K16.deg, 0.3).expander
 
 
 @pytest.mark.parametrize("name", ["k16", "regular-60-18"])
@@ -138,21 +133,19 @@ def test_power_iteration_path_still_declares_expanders(name, monkeypatch):
         H, phi = random_regular_graph(60, 18, 1), 0.1
     assert cuts._certified_expander(H, H.deg, phi)
     monkeypatch.setattr(cuts, "_certified_expander", lambda *a: False)
-    assert sweep_balanced_cut(H, H.deg, phi, 0.0).expander
+    assert sweep_balanced_cut(H, H.deg, phi).expander
 
 
 @FAST
 @given(H=multigraphs(), phi=st.sampled_from([0.05, 0.2, 0.5, 0.9]),
-       scale=st.sampled_from([None, 1.0, 2.5]),
-       max_iter=st.sampled_from([None, 1, 2, 8]))
-def test_uncertified_sweep_matches_reference(H, phi, scale, max_iter):
+       scale=st.sampled_from([None, 1.0, 2.5]))
+def test_uncertified_sweep_matches_reference(H, phi, scale):
     # `ref_sweep` runs `sweep_balanced_cut` too, so with the certificate on
-    # both sides would stop at it; off, every draw reaches the power iteration
+    # both sides would stop at it; off, every draw reaches the eigensolve
     deg_g = H.deg if scale is None else H.deg * scale + (np.arange(H.n) % 3)
-    args = (H, deg_g, phi, 0.0, 1e-8, max_iter)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cuts, "_certified_expander", lambda *a: False)
-        assert outcome(run(cuts.sweep_balanced_cut, *args)) == outcome(run(ref_sweep, *args))
+        check_sweep_against_oracle(H, deg_g, phi)
 
 
 def run_outputs(G, params):

@@ -142,7 +142,7 @@ def test_balance_dominance_at_delta_zero():
 
 def test_sweep_disconnected_returns_free_cut():
     two = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-    out = sweep_balanced_cut(two, two.deg, 0.5, 0.0)
+    out = sweep_balanced_cut(two, two.deg, 0.5)
     assert not out.expander
     assert out.sparsity_estimate == 0.0
     assert sorted(out.cut.tolist()) in ([0, 1, 2], [3, 4, 5])
@@ -150,7 +150,7 @@ def test_sweep_disconnected_returns_free_cut():
 
 def test_sweep_barbell_finds_bridge():
     B = barbell_graph(2, 8, 1)
-    out = sweep_balanced_cut(B, B.deg, 0.2, 0.0)
+    out = sweep_balanced_cut(B, B.deg, 0.2)
     assert not out.expander
     assert sorted(out.cut.tolist()) in ([0, 1, 2, 3, 4, 5, 6, 7], list(range(8, 16)))
     assert out.sparsity_estimate == pytest.approx(1.0 / 57.0)
@@ -159,7 +159,7 @@ def test_sweep_barbell_finds_bridge():
 
 def test_sweep_k16_expander_cross_checked():
     K16 = complete_graph(16)
-    out = sweep_balanced_cut(K16, K16.deg, 0.3, 0.0)
+    out = sweep_balanced_cut(K16, K16.deg, 0.3)
     assert out.expander
     assert exhaustive_balanced_cut(K16, K16.deg, 0.3, 0.0).expander
 
@@ -171,12 +171,7 @@ def test_sweep_cut_meets_contract_on_random_graphs():
         if H.total_volume == 0:
             continue
         phi = float(rng.uniform(0.1, 0.6))
-        try:
-            out = sweep_balanced_cut(H, H.deg, phi, 0.0)
-        except SweepNumericFailure:
-            # allowed outcome at large phi where the iteration budget is slim;
-            # the decomposition driver falls back to exhaustive in that case
-            continue
+        out = sweep_balanced_cut(H, H.deg, phi)
         if out.expander:
             continue
         vol_c = H.total_volume
@@ -186,15 +181,21 @@ def test_sweep_cut_meets_contract_on_random_graphs():
         assert out.sparsity_estimate <= phi * (1 + 1e-6)
 
 
-def test_sweep_numeric_failure_with_tiny_budget():
-    B = barbell_graph(2, 8, 1)
-    with pytest.raises(SweepNumericFailure):
-        sweep_balanced_cut(B, B.deg, 0.2, 0.0, max_iter=1)
+def test_sweep_numeric_failure_with_tiny_budget(monkeypatch):
+    # one Lanczos restart of ARPACK's 20 basis vectors cannot resolve the
+    # crowded top of a 200-vertex path's spectrum
+    import scipy.sparse.linalg
+    real = scipy.sparse.linalg.eigsh
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh",
+                        lambda *a, **kw: real(*a, **kw, maxiter=1))
+    P = Graph(200, [(v, v + 1) for v in range(199)])
+    with pytest.raises(SweepNumericFailure, match="eigsh did not converge"):
+        sweep_balanced_cut(P, P.deg, 0.2)
 
 
 def test_sweep_on_singleton_and_zero_volume():
-    assert sweep_balanced_cut(Graph(1), np.zeros(1), 0.3, 0.0).expander
-    assert sweep_balanced_cut(Graph(3), np.zeros(3), 0.3, 0.0).expander
+    assert sweep_balanced_cut(Graph(1), np.zeros(1), 0.3).expander
+    assert sweep_balanced_cut(Graph(3), np.zeros(3), 0.3).expander
 
 
 def _triangle_and_two_k6():
@@ -210,7 +211,7 @@ def test_sweep_returns_the_balanced_complement_on_overshoot():
     # finds a block (volume 31); 6 + 31 overshoots half of 68, so it returns
     # the other block, whose cut edges are those of triangle + block
     G, blocks = _triangle_and_two_k6()
-    out = sweep_balanced_cut(G, G.deg, 0.2, 0.0)
+    out = sweep_balanced_cut(G, G.deg, 0.2)
     assert not out.expander
     assert out.cut.tolist() in blocks
     assert out.sparsity_estimate == pytest.approx(1.0 / 31.0)
@@ -233,10 +234,7 @@ def test_sweep_estimate_and_balance_describe_the_returned_cut():
         if H.total_volume == 0:
             continue
         phi = float(rng.uniform(0.05, 0.5))
-        try:
-            out = sweep_balanced_cut(H, H.deg, phi, 0.0)
-        except SweepNumericFailure:
-            continue
+        out = sweep_balanced_cut(H, H.deg, phi)
         if out.expander:
             continue
         vol_s, vol_c = H.volume(out.cut), H.total_volume

@@ -20,6 +20,7 @@ from powercut import (
     planted_partition_graph,
     verify_decomposition,
 )
+from powercut import cuts
 from powercut.decompose import Decomposer
 
 from conftest import complete_graph
@@ -139,6 +140,36 @@ def test_decompose_deterministic():
     c2, r2 = decompose(G, params)
     assert as_sorted_lists(c1) == as_sorted_lists(c2)
     assert r1.to_json() == r2.to_json()
+
+
+def test_reruns_are_byte_identical_through_a_double_lambda_2_and_a_pair(monkeypatch):
+    # a 30-cycle (whose lambda_2 is double) beside a second 30-cycle that
+    # hangs a heavy pair: verify's sweep of the second peels its cycle off
+    # and then meets the pair as a 2-vertex component
+    def ring(off):
+        return [(off + v, off + (v + 1) % 30) for v in range(30)]
+
+    G = Graph(62, ring(0) + ring(30) + [(30, 60, 1.0), (60, 61, 50.0)])
+    parts = [np.arange(30), np.arange(30, 62)]
+    params = DecompParams(eps=0.3, quality_k=2, mode="fast", seed=1)
+    sizes = []
+    real = cuts._second_vector
+
+    def recorded(view, ids):
+        sizes.append(ids.size)
+        return real(view, ids)
+
+    monkeypatch.setattr(cuts, "_second_vector", recorded)
+    runs = []
+    for _ in range(2):
+        clusters, rep = decompose(G, params)
+        runs.append((
+            [c.tolist() for c in clusters], rep.to_json(),
+            verify_decomposition(G, clusters, params.eps, rep.phi_final).to_json(),
+            verify_decomposition(G, parts, params.eps, 0.1).to_json(),
+        ))
+    assert runs[0] == runs[1]
+    assert 30 in sizes and 2 in sizes
 
 
 def test_report_json_shape():

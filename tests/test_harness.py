@@ -18,11 +18,13 @@ from powercut import (
     Graph,
     GraphError,
     barbell_graph,
+    decompose,
     gen_graph,
     gen_stream,
     gnp_graph,
     planted_partition_graph,
     random_regular_graph,
+    verify_decomposition,
 )
 from powercut import generators
 from powercut.cli import main
@@ -330,16 +332,52 @@ def test_cli_verify_failure_exit_code(tmp_path):
                  "--eps", "0.3", "--phi", "0.01"]) == 1
 
 
-def test_cli_verify_exits_2_when_the_power_iteration_does_not_converge(tmp_path, capsys):
-    # a 60-cycle is too large to enumerate, so verify sweeps it, and at phi
-    # 0.9 the power iteration does not stagnate within its budget
+def test_cli_verify_refutes_a_60_cycle_at_phi_0_9(tmp_path):
+    # a 60-cycle is too large to enumerate, so verify sweeps it along its
+    # Fiedler vector (lambda_2 is double) and finds the cycle's true minimum
+    # conductance, 2 / 60
+    g, part, rpt = tmp_path / "g.txt", tmp_path / "p.txt", tmp_path / "r.json"
+    save_graph(Graph(60, [(v, (v + 1) % 60) for v in range(60)]), g)
+    part.write_text("".join(f"{v} 0\n" for v in range(60)))
+    reports = []
+    for _ in range(2):
+        assert main(["verify", "--graph", str(g), "--partition", str(part), "--eps", "0.3",
+                     "--phi", "0.9", "--report", str(rpt)]) == 1
+        reports.append(rpt.read_bytes())
+    assert reports[0] == reports[1]
+    (verdict,) = json.loads(reports[0])["clusters"]
+    assert verdict["min_conductance"] == pytest.approx(1.0 / 30.0, rel=1e-12)
+    assert not verdict["passed"]
+
+
+def test_eigensolver_failure_exits_2_and_small_clusters_fall_back(tmp_path, capsys,
+                                                                 monkeypatch):
+    import scipy.sparse.linalg
+    from scipy.sparse.linalg import ArpackNoConvergence
+
+    calls = []
+
+    def no_convergence(*args, **kw):
+        calls.append(args[0].shape[0])
+        raise ArpackNoConvergence("ARPACK error -1: No convergence", np.zeros(0),
+                                  np.zeros((args[0].shape[0], 0)))
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+    # verify: exit 2 with the message, and no report
     g, part, rpt = tmp_path / "g.txt", tmp_path / "p.txt", tmp_path / "r.json"
     save_graph(Graph(60, [(v, (v + 1) % 60) for v in range(60)]), g)
     part.write_text("".join(f"{v} 0\n" for v in range(60)))
     assert main(["verify", "--graph", str(g), "--partition", str(part), "--eps", "0.3",
                  "--phi", "0.9", "--report", str(rpt)]) == 2
-    assert "error: power iteration did not stagnate" in capsys.readouterr().err
-    assert not rpt.exists()
+    assert "error: eigsh did not converge" in capsys.readouterr().err
+    assert not rpt.exists() and calls == [60]
+    # decompose: a fast-mode sweep on 20 vertices falls back to the exhaustive cut
+    calls.clear()
+    B = barbell_graph(2, 10, 1)
+    clusters, rep = decompose(B, DecompParams(eps=0.3, quality_k=2, mode="fast", seed=1))
+    assert calls and max(calls) <= 22
+    assert sorted(sorted(c.tolist()) for c in clusters) == [list(range(10)), list(range(10, 20))]
+    assert verify_decomposition(B, clusters, 0.3, rep.phi_final).ok
 
 
 def test_cli_config_error_exit_code(tmp_path):
