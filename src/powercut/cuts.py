@@ -212,10 +212,11 @@ def _second_vector(view: _ClusterView, active_ids: np.ndarray) -> np.ndarray:
     finds the top two from the fixed start vector x0 = sin(1 + 0.7 i); a
     connected pair takes the closed form, the unit vector orthogonal to
     sqrt(deg).  The sign makes x0 @ vec nonnegative, the sign that a power
-    iteration from x0 would converge to.  ARPACK from a fixed start is
-    deterministic, so a degenerate lambda_2 (a cycle, say) still gives one
-    vector per input.  Raises `SweepNumericFailure` when ARPACK does not
-    converge.
+    iteration from x0 would converge to.  When Lanczos exhausts x0's Krylov
+    space, ARPACK restarts from a random vector (a 12-vertex star does);
+    with a degenerate lambda_2 that draw picks the returned vector, so each
+    call draws it from a fresh generator of fixed seed, and one input gives
+    one vector.  Raises `SweepNumericFailure` when ARPACK does not converge.
     """
     n_a = active_ids.size
     d = view.deg_h[active_ids]
@@ -238,7 +239,7 @@ def _second_vector(view: _ClusterView, active_ids: np.ndarray) -> np.ndarray:
              (np.concatenate([rows, ids]), np.concatenate([cols, ids]))),
             shape=(n_a, n_a))
         try:
-            _, vecs = eigsh(W, k=2, which="LA", v0=x0)
+            _, vecs = eigsh(W, k=2, which="LA", v0=x0, rng=np.random.default_rng(0))
         except ArpackNoConvergence as exc:
             raise SweepNumericFailure(f"eigsh did not converge: {exc}") from exc
         vec = vecs[:, 0]  # eigenvalues come ascending: lambda_2, then 1

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
@@ -142,7 +142,8 @@ def ref_best_sweep_prefix(view, order, deg_g, phi_limit):
 
 def ref_sweep(H, deg_g, phi):
     """`sweep_balanced_cut` with the scalar helpers and the dense oracle
-    swapped in; returns (outcome, whether every round's order is fixed).
+    swapped in; returns (outcome, one flag per eigensolve round telling
+    whether that round's order is fixed).
 
     A round's order is fixed when its vector is well posed, its sign is
     fixed, and its entries lie more than 2 * VEC_TOL apart, so that any
@@ -160,7 +161,7 @@ def ref_sweep(H, deg_g, phi):
         mp.setattr(cuts, "_components", ref_components)
         mp.setattr(cuts, "_second_vector", second_vector)
         mp.setattr(cuts, "_best_sweep_prefix", ref_best_sweep_prefix)
-        return cuts.sweep_balanced_cut(H, deg_g, phi), all(fixed)
+        return cuts.sweep_balanced_cut(H, deg_g, phi), fixed
 
 
 def assert_contract(out, H, deg_g, phi):
@@ -177,14 +178,43 @@ def assert_contract(out, H, deg_g, phi):
 
 def check_sweep_against_oracle(H, deg_g, phi):
     """The sweep's outcome equals the oracle sweep's where every round's
-    order is fixed, and keeps the contract everywhere; returns whether the
-    outcomes were compared."""
+    order is fixed, and keeps the contract everywhere; returns the oracle
+    sweep's per-round flags (see `ref_sweep`)."""
     got = cuts.sweep_balanced_cut(H, deg_g, phi)
     want, fixed = ref_sweep(H, deg_g, phi)
     assert_contract(got, H, deg_g, phi)
-    if fixed:
+    if all(fixed):
         assert outcome(got) == outcome(want)
     return fixed
+
+
+def sweep_draws(check):
+    """Runs check(H, deg_g, phi) -> round flags over FAST's draws and
+    returns (draws that reached an eigensolve, those whose outcome was
+    compared with the oracle sweep's)."""
+    reached = compared = 0
+
+    @FAST
+    @given(H=multigraphs(), phi=st.sampled_from([0.05, 0.2, 0.5, 0.9]),
+           scale=st.sampled_from([None, 1.0, 2.5]))
+    def run(H, phi, scale):
+        nonlocal reached, compared
+        # deg_g stands for original-graph degrees, which may exceed H's
+        deg_g = H.deg if scale is None else H.deg * scale + (np.arange(H.n) % 3)
+        fixed = check(H, deg_g, phi)
+        if fixed:
+            reached += 1
+            compared += all(fixed)
+            event("order fixed in every round" if all(fixed) else "order not fixed")
+
+    run()
+    return reached, compared
+
+
+def assert_mostly_compared(reached, compared):
+    # ties in the integer-weighted draws leave some orders open; without
+    # this floor the outcome comparison could quietly cover no draw at all
+    assert reached >= 40 and compared >= 0.75 * reached
 
 
 # -- inputs ---------------------------------------------------------------------
@@ -258,6 +288,27 @@ def test_second_vector_matches_dense_oracle(case):
             assert np.abs(got - sign * want).max() <= VEC_TOL
 
 
+def _star(n, extra=()):
+    return Graph(n, [(0, v) for v in range(1, n)] + list(extra))
+
+
+@pytest.mark.parametrize("H", [
+    _ring(12)[0],
+    # on the stars Lanczos exhausts x0's Krylov space, ARPACK draws a
+    # restart vector, and that draw picks the vector returned from the
+    # multiple lambda_2; from an unseeded generator the last two differed
+    # on almost every call
+    _star(12),
+    _star(8, [(v, v, 1.0) for v in range(1, 8)]),
+    _star(16, [(0, 0, 5.0)]),
+], ids=["cycle-12", "star-12", "star-8-leaf-loops", "star-16-hub-loop"])
+def test_second_vector_is_reproducible(H):
+    view, ids = cuts._ClusterView.from_graph(H), np.arange(H.n)
+    first = cuts._second_vector(view, ids)
+    for _ in range(20):
+        assert cuts._second_vector(view, ids).tobytes() == first.tobytes()
+
+
 @FAST
 @given(case=peeled(), data=st.data())
 def test_best_sweep_prefix_matches_scan(case, data):
@@ -283,13 +334,8 @@ def outcome(out):
     return (out.cut.tolist(), out.sparsity_estimate, out.balance)
 
 
-@FAST
-@given(H=multigraphs(), phi=st.sampled_from([0.05, 0.2, 0.5, 0.9]),
-       scale=st.sampled_from([None, 1.0, 2.5]))
-def test_sweep_outcome_matches_reference(H, phi, scale):
-    # deg_g stands for original-graph degrees, which may exceed H's
-    deg_g = H.deg if scale is None else H.deg * scale + (np.arange(H.n) % 3)
-    check_sweep_against_oracle(H, deg_g, phi)
+def test_sweep_outcome_matches_reference():
+    assert_mostly_compared(*sweep_draws(check_sweep_against_oracle))
 
 
 def test_sweep_outcome_on_planted_blocks_matches_reference():
@@ -304,5 +350,6 @@ def test_sweep_outcome_on_planted_blocks_matches_reference():
     # cuts of three peeling histories; at phi 0.1 a budgeted power
     # iteration gave up, and the exact vector finds a cut
     for phi in (0.005, 0.02, 0.1):
-        assert check_sweep_against_oracle(H, H.deg, phi)
+        fixed = check_sweep_against_oracle(H, H.deg, phi)
+        assert fixed and all(fixed)
         assert not cuts.sweep_balanced_cut(H, H.deg, phi).expander
