@@ -95,24 +95,27 @@ def exhaustive_balanced_cut(
     best_phi = math.nan
     all_ids = np.arange(H.n, dtype=np.int64)
     for masks, cw, side_vol, vol_s in enumerate_cut_stats(H, deg=deg_g):
-        vol_rest = vol_c - vol_s
-        phi_est = np.where(side_vol > 0, cw / np.where(side_vol > 0, side_vol, 1.0), math.inf)
-        good = (side_vol > 0) & (phi_est <= limit)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            phi_est = cw / side_vol
+        good = phi_est <= limit
         if not good.any():
             continue
-        batch_best = side_vol[good].max()
-        if batch_best < best_vol:
+        good &= side_vol > 0  # a side of volume 0 or less is no cut
+        if not good.any():
             continue
-        # only the batch maxima can beat or tie the incumbent
-        for idx in np.flatnonzero(good & (side_vol >= batch_best)):
+        block_best = side_vol[good].max()
+        if block_best < best_vol:
+            continue
+        # only the block maxima can beat or tie the incumbent
+        for idx in np.flatnonzero(good & (side_vol >= block_best)):
             sv = float(side_vol[idx])
             mask = int(masks[idx])
             S = mask_to_set(mask, H.n)
             # candidate side = smaller volume side; on an exact tie, the side
             # containing vertex 0 is the lexicographically smaller one
-            if float(vol_s[idx]) > float(vol_rest[idx]):
-                S = np.setdiff1d(all_ids, S)
-            elif float(vol_s[idx]) == float(vol_rest[idx]) and (mask & 1) == 0:
+            vs = float(vol_s[idx])
+            vol_rest = vol_c - vs
+            if vs > vol_rest or (vs == vol_rest and (mask & 1) == 0):
                 S = np.setdiff1d(all_ids, S)
             if sv > best_vol or (sv == best_vol and _lex_smaller(S, best_set)):
                 best_vol = sv

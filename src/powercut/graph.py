@@ -9,6 +9,8 @@ Conventions used throughout the package:
   with exactly one endpoint in S, so self-loops never cross a cut;
 * conductance(S) = cut_weight(S) / min(Vol(S), Vol(complement)).
 
+`enumerate_cut_stats` streams every cut of a graph of at most
+`BRUTE_FORCE_LIMIT` vertices in blocks, for the brute-force oracles.
 Graphs and partitions are immutable after construction and safe to share
 across threads.  Verification inequalities elsewhere in the package use the
 relative slack `REL_SLACK` to absorb float rounding.
@@ -177,11 +179,15 @@ class Graph:
         )
 
 
-# -- cut enumeration helpers (n <= BRUTE_FORCE_LIMIT) ------------------------
+# -- cut enumeration (n <= BRUTE_FORCE_LIMIT) ---------------------------------
 
-# tables over up to this many mask bits come from one bit table; wider ones
-# combine a low-bit and a high-bit table
+# masks of up to this many bits form one low part; wider ones split into a
+# low and a high part of about half the bits each
 _ONE_TABLE_BITS = 10
+
+# masks per block that `enumerate_cut_stats` yields, so that a block's cut
+# weights and volumes stay in cache while the consumer reads them
+_BLOCK_MASKS = 1 << 15
 
 
 @functools.lru_cache(maxsize=None)
@@ -196,52 +202,13 @@ def _bits(k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _split(k: int) -> tuple[int, int]:
-    """Number of low and high bits of a k-bit mask: one table up to
-    _ONE_TABLE_BITS bits, else two tables of about k/2 bits."""
+    """Number of low and high bits of a k-bit mask: all low up to
+    _ONE_TABLE_BITS bits, else about k/2 each."""
     low = k if k <= _ONE_TABLE_BITS else (k + 1) // 2
     return low, k - low
 
 
-def subset_sums(x: np.ndarray) -> np.ndarray:
-    """Table t of length 2^len(x) with t[s] = sum of x[v] over the bits v of s."""
-    x = np.asarray(x, dtype=np.float64)
-    low, high = _split(x.size)
-    table = _bits(low)[0].dot(x[:low])
-    if high:
-        table = (_bits(high)[0].dot(x[low:])[:, None] + table).ravel()
-    return table
-
-
-def _cut_weight_table(G: Graph) -> np.ndarray:
-    """Table of cut_weight(S) for every S within vertices 0..n-2, by mask.
-
-    The cut weight is the Laplacian quadratic form q(S) = b_S^T L b_S (loops
-    never cross).  The table over the low bits is one product with the
-    outer-product rows of the bit table.  With high bits too, splitting S
-    into a high part h and a low part l gives
-    q(h | l) = q(h) + q(l) + 2 b_h^T L b_l, and the (h, l) grid raveled
-    row-major is mask order.  Entry 0 is the empty set.
-    """
-    n = G.n
-    W = np.bincount(G.edge_u * n + G.edge_v, G.edge_w, minlength=n * n).reshape(n, n)
-    W.reshape(-1)[:: n + 1] = 0.0  # loops never cross
-    W += W.T
-    L = np.diag(W.sum(axis=1)) - W
-    low, high = _split(n - 1)
-    lo = slice(0, low)
-    table = _bits(low)[1].dot(L[lo, lo].ravel())
-    if high:
-        hi = slice(low, n - 1)
-        grid = _bits(high)[0].dot(L[hi, lo]).dot(_bits(low)[0].T)
-        grid *= 2.0
-        grid += _bits(high)[1].dot(L[hi, hi].ravel())[:, None]
-        grid += table
-        table = grid.ravel()
-    # cut weights are nonnegative; a negative entry is cancellation dust
-    return np.maximum(table, 0.0, out=table)
-
-
-def enumerate_cut_stats(G: Graph, batch: int = 1 << 15, deg: np.ndarray | None = None):
+def enumerate_cut_stats(G: Graph, deg: np.ndarray | None = None):
     """Yield (masks, cut_weights, vol_small, vol_s) over all unordered cuts.
 
     Each cut appears once, as the side S that excludes vertex n-1; mask bit v
@@ -249,8 +216,13 @@ def enumerate_cut_stats(G: Graph, batch: int = 1 << 15, deg: np.ndarray | None =
     degrees by default or any other n-vector, such as the original-graph
     degrees of a sparsified cluster: vol_s is Vol(S) and vol_small is
     min(Vol(S), Vol(complement)), with the total taken as `float(deg.sum())`.
-    Batches are slices of whole-range cut-weight and volume tables, in mask
-    order.
+
+    The cut weight is the Laplacian quadratic form q(S) = b_S^T L b_S (loops
+    never cross).  Splitting S into a high part h and a low part l gives
+    q(h | l) = q(h) + q(l) + 2 b_h^T L b_l and Vol(h | l) = Vol(h) + Vol(l),
+    so each part needs only its own 2^(bits) factors.  A block is a few rows
+    h of the (h, l) grid, about _BLOCK_MASKS masks raveled row-major; blocks
+    come in mask order, the empty mask skipped, and no 2^(n-1) table is built.
     """
     n = G.n
     if n > BRUTE_FORCE_LIMIT:
@@ -259,13 +231,39 @@ def enumerate_cut_stats(G: Graph, batch: int = 1 << 15, deg: np.ndarray | None =
         return
     deg = G.deg if deg is None else np.asarray(deg, dtype=np.float64)
     total = float(deg.sum())
-    cw = _cut_weight_table(G)
-    vol = subset_sums(deg[: n - 1])
-    for start in range(1, cw.size, batch):
-        stop = min(start + batch, cw.size)
-        vol_s = vol[start:stop]
-        masks = np.arange(start, stop, dtype=np.int64)
-        yield masks, cw[start:stop], np.minimum(vol_s, total - vol_s), vol_s
+    W = np.bincount(G.edge_u * n + G.edge_v, G.edge_w, minlength=n * n).reshape(n, n)
+    W.reshape(-1)[:: n + 1] = 0.0  # loops never cross
+    W += W.T
+    L = np.diag(W.sum(axis=1)) - W
+    low, high = _split(n - 1)
+    lo, hi = slice(0, low), slice(low, n - 1)
+    bits_lo, pairs_lo = _bits(low)
+    q_lo = pairs_lo.dot(L[lo, lo].ravel())
+    v_lo = bits_lo.dot(deg[lo])
+    if high:
+        bits_hi, pairs_hi = _bits(high)
+        P = bits_hi.dot(L[hi, lo])
+        q_hi = pairs_hi.dot(L[hi, hi].ravel())
+        v_hi = bits_hi.dot(deg[hi])
+    rows = _BLOCK_MASKS >> low
+    for h0 in range(0, 1 << high, rows):
+        h1 = min(h0 + rows, 1 << high)
+        if high:
+            cw = P[h0:h1].dot(bits_lo.T)
+            cw *= 2.0
+            cw += q_hi[h0:h1, None]
+            cw += q_lo
+            vol_s = (v_hi[h0:h1, None] + v_lo).ravel()
+        else:
+            cw, vol_s = q_lo, v_lo
+        # cut weights are nonnegative; a negative entry is cancellation dust
+        cw = np.maximum(cw, 0.0, out=cw).ravel()
+        first = 0 if h0 else 1  # mask 0 is the empty set, no cut
+        vol_s = vol_s[first:]
+        vol_small = np.subtract(total, vol_s)
+        np.minimum(vol_s, vol_small, out=vol_small)
+        masks = np.arange((h0 << low) + first, h1 << low, dtype=np.int64)
+        yield masks, cw[first:], vol_small, vol_s
 
 
 def mask_to_set(mask: int, n: int) -> np.ndarray:
@@ -275,17 +273,16 @@ def mask_to_set(mask: int, n: int) -> np.ndarray:
 def min_conductance_bruteforce(G: Graph):
     """Exact minimum conductance over all nontrivial cuts, with a witness.
 
-    Cuts where both sides have zero volume are skipped (conductance is
+    Cuts with a side of zero volume are skipped (conductance is
     undefined there).  Returns (inf, None) when no valid cut exists.
     G is a phi-expander iff the returned value is >= phi.
     """
     best = math.inf
     best_mask = None
     for masks, cw, vol_small, _ in enumerate_cut_stats(G):
-        valid = vol_small > 0
-        if not valid.any():
-            continue
-        phi = np.where(valid, cw / np.where(valid, vol_small, 1.0), math.inf)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            phi = cw / vol_small
+        np.copyto(phi, math.inf, where=vol_small <= 0)
         i = int(np.argmin(phi))
         if phi[i] < best:
             best = float(phi[i])

@@ -112,7 +112,7 @@ def test_certificate_skips_what_it_cannot_prove(monkeypatch):
     assert cuts._certified_expander(K8, K8.deg, 0.3)
 
 
-def test_certified_sweep_spends_no_power_step(monkeypatch):
+def test_certified_sweep_runs_no_eigensolve(monkeypatch):
     K16 = complete_graph(16)
 
     def no_eigensolve(*args):
@@ -123,7 +123,7 @@ def test_certified_sweep_spends_no_power_step(monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["k16", "regular-60-18"])
-def test_power_iteration_path_still_declares_expanders(name, monkeypatch):
+def test_eigensolve_path_still_declares_expanders(name, monkeypatch):
     if name == "k16":
         H, phi = complete_graph(16), 0.3
     else:

@@ -181,7 +181,7 @@ def test_sweep_cut_meets_contract_on_random_graphs():
         assert out.sparsity_estimate <= phi * (1 + 1e-6)
 
 
-def test_sweep_numeric_failure_with_tiny_budget(monkeypatch):
+def test_sweep_numeric_failure_when_eigsh_does_not_converge(monkeypatch):
     # one Lanczos restart of ARPACK's 20 basis vectors cannot resolve the
     # crowded top of a 200-vertex path's spectrum
     import scipy.sparse.linalg
