@@ -16,7 +16,9 @@ cut black box: the second eigenvector of the lazy normalized walk matrix
 from one `scipy.sparse.linalg.eigsh` call (ARPACK's Lanczos), a sweep over
 prefixes of the eigenvector order, and iterative peeling of successive
 sub-phi sweep cuts to improve balance until the accumulated cut reaches
-half the cluster volume or no sub-phi sweep cut remains.  Its advertised
+half the cluster volume or no sub-phi sweep cut remains.  Each round reads
+H's own nonloop edge arrays, kept to the round's vertex set, and takes every
+prefix's cut weight from one cumsum over edge ends.  Its advertised
 constants are measured, not proven.  On clusters of at most
 `CERTIFY_LIMIT` vertices it first tries a Cheeger certificate: when
 lambda_2 / 2 of the normalized Laplacian clears phi, no cut has
@@ -131,33 +133,15 @@ def exhaustive_balanced_cut(
 # -- spectral sweep -------------------------------------------------------------
 
 
-@dataclass
-class _ClusterView:
-    """H's nonloop edges as CSR-ordered entries: each edge {u, v} appears as
-    u -> v and v -> u, grouped by source vertex, each row in edge order."""
-
-    n: int
-    row: np.ndarray  # source vertex of each entry, ascending
-    nbr: np.ndarray
-    wt: np.ndarray
-    deg_h: np.ndarray
-
-    @classmethod
-    def from_graph(cls, H: Graph) -> "_ClusterView":
-        nonloop = H.edge_u != H.edge_v
-        u, v = H.edge_u[nonloop], H.edge_v[nonloop]
-        src = np.column_stack([u, v]).ravel()
-        by_row = np.argsort(src, kind="stable")
-        dst = np.column_stack([v, u]).ravel()
-        wt = np.repeat(H.edge_w[nonloop], 2)
-        return cls(H.n, src[by_row], dst[by_row], wt[by_row], H.deg.copy())
-
-    def inside(self, ids: np.ndarray):
-        """(row, nbr, wt) of the entries with both ends in ids, in row order."""
-        mask = np.zeros(self.n, dtype=bool)
-        mask[ids] = True
-        keep = mask[self.row] & mask[self.nbr]
-        return self.row[keep], self.nbr[keep], self.wt[keep]
+def _inside(edges, n: int, ids: np.ndarray):
+    """The edges (u, v, w) with both ends in ids, in edge order, their ends
+    renumbered to positions in ids as `Graph.induce_with_loops` does."""
+    u, v, w = edges
+    local = np.full(n, -1, dtype=np.int64)
+    local[ids] = np.arange(ids.size)
+    a, b = local[u], local[v]
+    keep = (a >= 0) & (b >= 0)
+    return a[keep], b[keep], w[keep]
 
 
 def _certified_expander(H: Graph, deg_g: np.ndarray, phi_limit: float) -> bool:
@@ -190,25 +174,22 @@ def _certified_expander(H: Graph, deg_g: np.ndarray, phi_limit: float) -> bool:
     return float(lam[1]) / 2.0 - err > (1.0 + 1e-6) * phi_limit
 
 
-def _components(view: _ClusterView, active: np.ndarray) -> list[np.ndarray]:
-    """Connected components of the active induced subgraph (nonloop edges)."""
+def _components(edges, active: np.ndarray) -> list[np.ndarray]:
+    """Connected components of the active vertices over the nonloop edges."""
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
     sub = np.flatnonzero(active)
-    pos = -np.ones(view.n, dtype=np.int64)
-    pos[sub] = np.arange(sub.size)
-    rows, cols, _ = view.inside(sub)
-    mat = csr_matrix(
-        (np.ones(rows.size), (pos[rows], pos[cols])), shape=(sub.size, sub.size)
-    )
+    a, b, _ = _inside(edges, active.size, sub)
+    mat = csr_matrix((np.ones(a.size), (a, b)), shape=(sub.size, sub.size))
     ncomp, labels = connected_components(mat, directed=False)
     return [sub[labels == c] for c in range(ncomp)]
 
 
-def _second_vector(view: _ClusterView, active_ids: np.ndarray) -> np.ndarray:
+def _second_vector(edges, deg_h: np.ndarray, active_ids: np.ndarray) -> np.ndarray:
     """Second eigenvector of the lazy walk matrix W = I - N_h / 2 on the
-    active set: W = (I + D_h^{-1/2} A D_h^{-1/2}) / 2, with the loops plus
-    the degree lost to peeled vertices on A's diagonal.
+    active set, from H's nonloop edges (u, v, w) and degrees deg_h:
+    W = (I + D_h^{-1/2} A D_h^{-1/2}) / 2, with the loops plus the degree
+    lost to peeled vertices on A's diagonal.
 
     Every row of A sums to the vertex's full H-degree, so sqrt(deg) is the
     top eigenvector, eigenvalue 1.  One `eigsh` call (ARPACK's Lanczos)
@@ -222,7 +203,7 @@ def _second_vector(view: _ClusterView, active_ids: np.ndarray) -> np.ndarray:
     one vector.  Raises `SweepNumericFailure` when ARPACK does not converge.
     """
     n_a = active_ids.size
-    d = view.deg_h[active_ids]
+    d = deg_h[active_ids]
     ids = np.arange(n_a)
     x0 = np.sin(1.0 + 0.7 * ids)
     if n_a == 2:
@@ -230,10 +211,10 @@ def _second_vector(view: _ClusterView, active_ids: np.ndarray) -> np.ndarray:
     else:
         from scipy.sparse import csr_matrix
         from scipy.sparse.linalg import ArpackNoConvergence, eigsh
-        pos = -np.ones(view.n, dtype=np.int64)
-        pos[active_ids] = ids
-        rows, cols, vals = view.inside(active_ids)
-        rows, cols = pos[rows], pos[cols]
+        a, b, w = _inside(edges, deg_h.size, active_ids)
+        # both orientations of each edge, edge by edge
+        rows, cols = np.column_stack([a, b]).ravel(), np.column_stack([b, a]).ravel()
+        vals = np.repeat(w, 2)
         inv_sqrt = 1.0 / np.sqrt(d)
         diag = d - np.bincount(rows, vals, minlength=n_a)  # loops plus peeled-away degree
         W = csr_matrix(
@@ -250,23 +231,20 @@ def _second_vector(view: _ClusterView, active_ids: np.ndarray) -> np.ndarray:
     return vec if x0 @ vec >= 0 else -vec
 
 
-def _best_sweep_prefix(view: _ClusterView, order: np.ndarray, deg_g: np.ndarray,
-                       phi_limit: float):
+def _best_sweep_prefix(edges, order: np.ndarray, deg_g: np.ndarray, phi_limit: float):
     """Most balanced prefix cut with estimated sparsity below phi_limit.
 
     Returns (local_prefix_len, phi_est) or None.  Sparsity of a prefix uses
-    the min-side volume within the active set, in original degrees.  Every
-    sum runs in the order of a vertex-by-vertex sweep, so the cut weights
-    are those of the scalar sweep bit for bit.
+    the min-side volume within the active set, in original degrees.  An edge
+    crosses the prefixes that hold its earlier end but not its later one, so
+    the cut weights are a running sum of the weight entering at earlier ends
+    less the weight leaving at later ends, each summed in edge order.
     """
-    pos = -np.ones(view.n, dtype=np.int64)
-    pos[order] = np.arange(order.size)
-    rows, cols, vals = view.inside(order)
-    at, back = pos[rows], pos[cols] < pos[rows]
-    w_inside = np.bincount(at, vals, minlength=order.size)
-    w_to_prefix = np.bincount(at[back], vals[back], minlength=order.size)
+    a, b, w = _inside(edges, deg_g.size, order)
+    enters = np.bincount(np.minimum(a, b), w, minlength=order.size)
+    leaves = np.bincount(np.maximum(a, b), w, minlength=order.size)
     # the prefix of length k + 1 ends at order[k]; the full set is no cut
-    cut_w = np.cumsum(w_inside - 2.0 * w_to_prefix)[:-1]
+    cut_w = np.cumsum(enters - leaves)[:-1]
     vol_pref = np.cumsum(deg_g[order[:-1]])
     vol_total = float(deg_g[order].sum())
     side = np.minimum(vol_pref, vol_total - vol_pref)
@@ -309,7 +287,8 @@ def sweep_balanced_cut(
     phi_limit = phi * (1.0 + REL_SLACK)
     if _certified_expander(H, deg_g, phi_limit):
         return EXPANDER
-    view = _ClusterView.from_graph(H)
+    nonloop = H.edge_u != H.edge_v
+    edges = (H.edge_u[nonloop], H.edge_v[nonloop], H.edge_w[nonloop])
 
     active = np.ones(H.n, dtype=bool)
     taken: list[np.ndarray] = []
@@ -317,7 +296,7 @@ def sweep_balanced_cut(
     half = vol_c / 2.0
 
     while True:
-        comps = _components(view, active)
+        comps = _components(edges, active)
         pieces = [c for c in comps if deg_g[c].sum() > 0]
         round_cut = None
         if len(pieces) > 1:
@@ -337,13 +316,13 @@ def sweep_balanced_cut(
         elif len(pieces) == 1 and pieces[0].size > 1:
             comp = pieces[0]
             try:
-                vec = _second_vector(view, comp)
+                vec = _second_vector(edges, H.deg, comp)
             except SweepNumericFailure:
                 if taken:
                     break
                 raise
             order = comp[np.lexsort((comp, vec))]
-            found = _best_sweep_prefix(view, order, deg_g, phi_limit)
+            found = _best_sweep_prefix(edges, order, deg_g, phi_limit)
             if found is not None:
                 k_pref, _ = found
                 prefix = np.sort(order[:k_pref])

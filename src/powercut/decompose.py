@@ -521,6 +521,9 @@ def decompose(source, params: DecompParams, reference_graph: Graph | None = None
         raise GraphError("source must be a Graph or SparsifierPools")
     if pools.params != params:
         raise GraphError("pools were built with different parameters")
+    if reference is not None and reference.n != pools.n:
+        raise GraphError(
+            f"reference graph has {reference.n} vertices, the source {pools.n}")
 
     driver = Decomposer(pools, reference)
     deg, sched = driver.deg, driver.sched

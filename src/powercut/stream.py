@@ -323,21 +323,15 @@ class StreamState:
         index, d = np.concatenate([b, a]), np.concatenate([d, d])
         accumulate(*self._payload, self._seeds, rows, index, d, self.n)
 
-    def recover_sparsifier(self, params: SparsifierParams | None = None) -> Graph | None:
+    def recover_sparsifier(self) -> Graph | None:
         """Recover the weighted sampled graph, or None on any FAIL.
 
         The net edge multiset of a valid stream is a simple graph, so an
         entry other than 1, a peel FAIL or more than k entries in a slot (the
-        k-sparse contract) gives None.  A dense state draws from its net pairs
-        under `params` (its own by default): it holds the net graph, which
-        does not depend on the seed, so any number of samples can share it.
-        A sketch state's slots are drawn under its own params; it raises
-        `StreamError` for any other, before it touches a slot.
+        k-sparse contract) gives None.
         """
         if self.dense:
-            return self._net.recover_sparsifier(params or self.params)
-        if params not in (None, self.params):
-            raise StreamError("a sketch state recovers under its own params only")
+            return self._net.recover_sparsifier(self.params)
         j = vertex_levels(self.deg, self.upsilon, self.levels)
         rows = self._row[j * self.n + np.arange(self.n)]
         # an untouched slot (j_v, v) is the zero sketch, which peels to nothing

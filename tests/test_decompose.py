@@ -155,9 +155,9 @@ def test_reruns_are_byte_identical_through_a_double_lambda_2_and_a_pair(monkeypa
     sizes = []
     real = cuts._second_vector
 
-    def recorded(view, ids):
+    def recorded(edges, deg_h, ids):
         sizes.append(ids.size)
-        return real(view, ids)
+        return real(edges, deg_h, ids)
 
     monkeypatch.setattr(cuts, "_second_vector", recorded)
     runs = []
@@ -170,6 +170,28 @@ def test_reruns_are_byte_identical_through_a_double_lambda_2_and_a_pair(monkeypa
         ))
     assert runs[0] == runs[1]
     assert 30 in sizes and 2 in sizes
+
+
+@pytest.mark.parametrize("mode", ["exact", "fast"])
+def test_light_cycle_beside_a_heavy_pair_is_shaved_within_budget(mode):
+    # the 30-cycle is a component with 60 of 2,122 volume (0.028), below
+    # phase one's balance bar eps*b/4 (0.0375 fast, 0.075 exact), so phase
+    # one's only cut is unbalanced; phase two shaves the cycle at j = 2,
+    # where (b/2)*m_2 (6.3 fast, 12.6 exact) <= 60, and its 30 vertices
+    # become singletons inside the eps/2 budget.  At pair weight 50 the
+    # cycle holds 60 of 222 volume and phase one splits it off whole
+    def ring(off):
+        return [(off + v, off + (v + 1) % 30) for v in range(30)]
+
+    for weight, singletons in ((1000.0, 30), (50.0, 0)):
+        G = Graph(62, ring(0) + ring(30) + [(30, 60, 1.0), (60, 61, weight)])
+        for seed in range(1, 6):
+            params = DecompParams(eps=0.3, quality_k=2, mode=mode, seed=seed)
+            clusters, rep = decompose(G, params)
+            ones = np.array([c[0] for c in clusters if c.size == 1], dtype=np.int64)
+            assert rep.singleton_count == ones.size == singletons
+            assert G.volume(ones) <= params.eps / 2.0 * G.total_volume
+            assert verify_decomposition(G, clusters, params.eps, rep.phi_final).ok
 
 
 def test_verify_reruns_are_byte_identical_through_an_arpack_restart():
@@ -365,6 +387,24 @@ def test_streaming_pools_reject_mismatched_params():
     other = DecompParams(eps=0.2, quality_k=2, seed=42)
     with pytest.raises(GraphError):
         decompose(pools, other)
+
+
+@pytest.mark.parametrize("ref_n", [12, 8])
+def test_reference_graph_of_the_wrong_size_is_refused_first(ref_n, monkeypatch):
+    # without the check a 12-vertex reference ended in not-a-partition and an
+    # 8-vertex one in a vertex id out of range, after the whole decomposition
+    def no_slot(*args):
+        raise AssertionError("a slot was drawn")
+
+    monkeypatch.setattr(SparsifierPools, "_slot_params", no_slot)
+    B = barbell_graph(2, 5, 1)
+    params = DecompParams(eps=0.3, quality_k=2, seed=1)
+    pools = SparsifierPools(B.n, params)
+    pools.feed_many(gen_stream(B, churn=0.5, seed=1))
+    reference = barbell_graph(2, ref_n // 2, 1)
+    for source in (pools, B):
+        with pytest.raises(GraphError, match=f"{ref_n} vertices, the source 10"):
+            decompose(source, params, reference_graph=reference)
 
 
 @pytest.mark.parametrize("seed", [6, 8, 13])

@@ -1,16 +1,17 @@
 """Differential tests of the array-based spectral sweep.
 
-The reference below builds the sweep from scalar loops: per-vertex Python
-adjacency lists, a dense `numpy.linalg.eigh` of the lazy walk matrix built
-entry by entry, and a vertex-by-vertex prefix scan.  Components and prefixes
-must be equal bit for bit.  The eigenvector must match the dense oracle to
+The reference below builds the sweep from scalar loops over the same nonloop
+edge arrays (u, v, w): per-vertex Python adjacency lists, a dense
+`numpy.linalg.eigh` of the lazy walk matrix built entry by entry, and a
+prefix scan that adds each edge's weight at its earlier and later end, edge
+by edge, then keeps a running sum.  Components and prefixes must be equal
+bit for bit.  The eigenvector must match the dense oracle to
 `VEC_TOL` wherever its eigenvalue stands `GAP` apart from its neighbours;
 where the oracle also fixes the sweep order, whole sweeps must agree outcome
 for outcome, and elsewhere the sweep must still keep its contract.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -41,35 +42,29 @@ WEIGHTS = st.one_of(
 # -- the scalar reference -------------------------------------------------------
 
 
-@dataclass
-class RefView:
-    """Adjacency of H with loops dropped, plus per-vertex loop weights."""
-
-    n: int
-    adj: list  # adj[v] = list of (nbr, w) over nonloop edges
-    loop: np.ndarray
-    deg_h: np.ndarray
-
-    @classmethod
-    def from_graph(cls, H: Graph) -> "RefView":
-        adj = [[] for _ in range(H.n)]
-        loop = np.zeros(H.n)
-        for u, v, w in zip(H.edge_u.tolist(), H.edge_v.tolist(), H.edge_w.tolist()):
-            if u == v:
-                loop[u] += w
-            else:
-                adj[u].append((v, w))
-                adj[v].append((u, w))
-        return cls(H.n, adj, loop, H.deg.copy())
+def nonloop_edges(H: Graph):
+    """H's nonloop edge arrays (u, v, w), as `sweep_balanced_cut` takes them."""
+    keep = H.edge_u != H.edge_v
+    return H.edge_u[keep], H.edge_v[keep], H.edge_w[keep]
 
 
-def ref_components(view, active):
+def adjacency(edges, n):
+    """adj[v] = list of (nbr, w) over the edges, in edge order."""
+    adj = [[] for _ in range(n)]
+    for u, v, w in zip(*(x.tolist() for x in edges)):
+        adj[u].append((v, w))
+        adj[v].append((u, w))
+    return adj
+
+
+def ref_components(edges, active):
+    adj = adjacency(edges, active.size)
     sub = np.flatnonzero(active)
-    pos = -np.ones(view.n, dtype=np.int64)
+    pos = -np.ones(active.size, dtype=np.int64)
     pos[sub] = np.arange(sub.size)
     rows, cols = [], []
     for u in sub.tolist():
-        for v, _ in view.adj[u]:
+        for v, _ in adj[u]:
             if active[v]:
                 rows.append(pos[u])
                 cols.append(pos[v])
@@ -80,15 +75,16 @@ def ref_components(view, active):
     return [sub[labels == c] for c in range(ncomp)]
 
 
-def ref_walk_matrix(view, active_ids):
+def ref_walk_matrix(edges, deg_h, active_ids):
     """W = I - N_h / 2 on the active set, dense, summed edge by edge."""
+    adj = adjacency(edges, deg_h.size)
     n_a = active_ids.size
     pos = {v: i for i, v in enumerate(active_ids.tolist())}
-    d = view.deg_h[active_ids]
+    d = deg_h[active_ids]
     W = np.zeros((n_a, n_a))
     inner = np.zeros(n_a)
     for u in active_ids.tolist():
-        for v, w in view.adj[u]:
+        for v, w in adj[u]:
             if v in pos:
                 W[pos[u], pos[v]] += 0.5 * w / math.sqrt(d[pos[u]] * d[pos[v]])
                 inner[pos[u]] += w
@@ -97,11 +93,11 @@ def ref_walk_matrix(view, active_ids):
     return W
 
 
-def ref_second_vector(view, active_ids):
+def ref_second_vector(edges, deg_h, active_ids):
     """(vector, gap, sign margin): the second eigenvector of the walk matrix
     by dense `eigh`, signed so that x0 @ vec >= 0, with the distance from
     its eigenvalue to the nearest other one and |x0 @ vec|."""
-    mu, vecs = np.linalg.eigh(ref_walk_matrix(view, active_ids))
+    mu, vecs = np.linalg.eigh(ref_walk_matrix(edges, deg_h, active_ids))
     vec = vecs[:, -2]
     x0 = np.array([math.sin(1.0 + 0.7 * i) for i in range(active_ids.size)])
     if x0 @ vec < 0:
@@ -110,25 +106,22 @@ def ref_second_vector(view, active_ids):
     return vec, gap, abs(float(x0 @ vec))
 
 
-def ref_best_sweep_prefix(view, order, deg_g, phi_limit):
-    active_mask = np.zeros(view.n, dtype=bool)
-    active_mask[order] = True
-    pos = -np.ones(view.n, dtype=np.int64)
-    pos[order] = np.arange(order.size)
+def ref_best_sweep_prefix(edges, order, deg_g, phi_limit):
+    pos = {v: i for i, v in enumerate(order.tolist())}
+    # an edge adds its weight where its earlier end enters the prefix and
+    # takes it away where its later end does
+    enters, leaves = [0.0] * order.size, [0.0] * order.size
+    for u, v, w in zip(*(x.tolist() for x in edges)):
+        if u in pos and v in pos:
+            enters[min(pos[u], pos[v])] += w
+            leaves[max(pos[u], pos[v])] += w
     vol_total = float(deg_g[order].sum())
     cut_w = 0.0
     vol_pref = 0.0
     best = None
     best_side = -1.0
     for idx, v in enumerate(order[:-1].tolist()):
-        w_to_prefix = 0.0
-        w_inside = 0.0
-        for nbr, w in view.adj[v]:
-            if active_mask[nbr]:
-                if pos[nbr] < idx:
-                    w_to_prefix += w
-                w_inside += w
-        cut_w += w_inside - 2.0 * w_to_prefix
+        cut_w += enters[idx] - leaves[idx]
         vol_pref += float(deg_g[v])
         side = min(vol_pref, vol_total - vol_pref)
         if side <= 0:
@@ -150,14 +143,13 @@ def ref_sweep(H, deg_g, phi):
     vector within VEC_TOL of the oracle sorts the vertices the same way."""
     fixed = []
 
-    def second_vector(view, active_ids):
-        vec, gap, margin = ref_second_vector(view, active_ids)
+    def second_vector(edges, deg_h, active_ids):
+        vec, gap, margin = ref_second_vector(edges, deg_h, active_ids)
         spread = np.diff(np.sort(vec)).min()
         fixed.append(gap > GAP and margin > SIGN_MARGIN and spread > 2.0 * VEC_TOL)
         return vec
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cuts, "_ClusterView", RefView)
         mp.setattr(cuts, "_components", ref_components)
         mp.setattr(cuts, "_second_vector", second_vector)
         mp.setattr(cuts, "_best_sweep_prefix", ref_best_sweep_prefix)
@@ -247,8 +239,9 @@ def peeled(draw):
 @given(case=peeled())
 def test_components_match_reference(case):
     H, active = case
-    got = cuts._components(cuts._ClusterView.from_graph(H), active)
-    want = ref_components(RefView.from_graph(H), active)
+    edges = nonloop_edges(H)
+    got = cuts._components(edges, active)
+    want = ref_components(edges, active)
     assert [c.tolist() for c in got] == [c.tolist() for c in want]
 
 
@@ -272,15 +265,15 @@ def _ring(n):
                np.ones(16, dtype=bool)))
 def test_second_vector_matches_dense_oracle(case):
     H, active = case
-    view, ref = cuts._ClusterView.from_graph(H), RefView.from_graph(H)
-    for comp in ref_components(ref, active):
+    edges = nonloop_edges(H)
+    for comp in ref_components(edges, active):
         if comp.size < 2:
             continue
-        got = cuts._second_vector(view, comp)
-        want, gap, margin = ref_second_vector(ref, comp)
+        got = cuts._second_vector(edges, H.deg, comp)
+        want, gap, margin = ref_second_vector(edges, H.deg, comp)
         assert got.shape == want.shape and np.linalg.norm(got) == pytest.approx(1.0)
         # an eigenvector of lambda_2 even where lambda_2 is degenerate
-        W = ref_walk_matrix(ref, comp)
+        W = ref_walk_matrix(edges, H.deg, comp)
         lam = float(want @ W @ want)
         assert np.abs(W @ got - lam * got).max() <= 1e-7
         if gap > GAP:
@@ -303,23 +296,41 @@ def _star(n, extra=()):
     _star(16, [(0, 0, 5.0)]),
 ], ids=["cycle-12", "star-12", "star-8-leaf-loops", "star-16-hub-loop"])
 def test_second_vector_is_reproducible(H):
-    view, ids = cuts._ClusterView.from_graph(H), np.arange(H.n)
-    first = cuts._second_vector(view, ids)
+    edges, ids = nonloop_edges(H), np.arange(H.n)
+    first = cuts._second_vector(edges, H.deg, ids)
     for _ in range(20):
-        assert cuts._second_vector(view, ids).tobytes() == first.tobytes()
+        assert cuts._second_vector(edges, H.deg, ids).tobytes() == first.tobytes()
+
+
+@st.composite
+def sweep_orders(draw):
+    """A peeled graph, a sweep order of its active vertices, original
+    degrees (some zero) and a sparsity limit."""
+    H, active = draw(peeled())
+    ids = np.flatnonzero(active)
+    order = ids[np.array(draw(st.permutations(range(ids.size))), dtype=np.int64)]
+    deg_g = H.deg * np.array(draw(st.lists(
+        st.sampled_from([0.0, 1.0, 1.5, 3.0]), min_size=H.n, max_size=H.n)))
+    return H, order, deg_g, draw(st.floats(0.0, 10.0))
+
+
+_PEELED_ENDS = Graph(6, [(4, 5, 2.1), (1, 4, 2.6), (0, 2, 0.8), (2, 1, 2.7), (0, 3, 2.6),
+                         (3, 1, 0.2), (2, 5, 0.5), (3, 3, 0.9)])
 
 
 @FAST
-@given(case=peeled(), data=st.data())
-def test_best_sweep_prefix_matches_scan(case, data):
-    H, active = case
-    ids = np.flatnonzero(active)
-    order = ids[np.array(data.draw(st.permutations(range(ids.size))), dtype=np.int64)]
-    deg_g = H.deg * np.array(data.draw(st.lists(
-        st.sampled_from([0.0, 1.0, 1.5, 3.0]), min_size=H.n, max_size=H.n)))
-    phi_limit = data.draw(st.floats(0.0, 10.0))
-    got = cuts._best_sweep_prefix(cuts._ClusterView.from_graph(H), order, deg_g, phi_limit)
-    want = ref_best_sweep_prefix(RefView.from_graph(H), order, deg_g, phi_limit)
+@given(case=sweep_orders())
+@example(
+    # vertices 4 and 5 peeled: an edge between them and edges from active
+    # vertices to them; the cut weight of the chosen prefix, summed as
+    # w_inside - 2 * w_to_prefix per vertex, differs in its last bit
+    case=(_PEELED_ENDS, np.array([2, 0, 3, 1]), _PEELED_ENDS.deg, 1.0),
+)
+def test_best_sweep_prefix_matches_scan(case):
+    H, order, deg_g, phi_limit = case
+    edges = nonloop_edges(H)
+    got = cuts._best_sweep_prefix(edges, order, deg_g, phi_limit)
+    want = ref_best_sweep_prefix(edges, order, deg_g, phi_limit)
     assert got == want
     if got is not None:
         assert type(got[0]) is int and type(got[1]) is float
