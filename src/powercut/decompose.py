@@ -182,13 +182,13 @@ class SparsifierPools:
     Two sources, as two constructors:
 
     * `SparsifierPools(n, params)` holds one `stream.NetGraph`: the degrees
-      and the n x n net pair counts, which depend on no seed.  The pools are
-      built before the stream, fed every update, and handed to `decompose`
-      afterwards; each slot then draws its sample from the net graph under
-      its own parameters, whatever its Y.  A draw fails only when the fed
-      stream's net graph is not simple, which raises `StreamError`.  A net
-      graph above `stream.POOL_BYTE_CAP` bytes (8n^2 + 8n) raises
-      `stream.PoolTooLarge` before anything is allocated.
+      and the live pairs with their net counts, which depend on no seed.  The
+      pools are built before the stream, fed every update, and handed to
+      `decompose` afterwards; each slot then draws its sample from the net
+      graph under its own parameters, whatever its Y.  A draw fails only when
+      the fed stream's net graph is not simple, which raises `StreamError`.
+      Pools or a batch above `stream.POOL_BYTE_CAP` bytes (8n, and 16 per
+      live pair and batch row) raise `stream.PoolTooLarge` before any change.
     * `SparsifierPools.offline(G, params, sched)` samples G with the slot's
       parameters; `decompose` builds it from a Graph source.
 

@@ -17,11 +17,10 @@ keeps levels 0..L* only, and every recovery caps j_v there too.
 
 Layout.  What a `StreamState` keeps depends on the sparsity budget k:
 
-* k == n (`dense_slots`): a `NetGraph`, the degrees and one symmetric (n, n)
-  int64 block of net pair counts, which stream pools hold whatever k is.
-  Slot (i, v) is row v filtered to the pairs of level >= i, so the recovery
-  of the slots (j_v, v) is `sample_offline`'s draw from the net pairs
-  (`_sampled_graph`), with no random FAILs.
+* k == n (`dense_slots`): a `NetGraph`, the net counts of the live pairs,
+  which stream pools hold whatever k is.  Slot (i, v) is v's live pairs of
+  level >= i, so recovering the slots (j_v, v) is `sample_offline`'s draw
+  (`_sampled_graph`) from the live pairs, with no random FAILs.
 * k < n: a sparse-recovery sketch per slot, one row of each of three
   (S, R, B) blocks `counts`, `id_sums` and `fps`, for R hash rows
   (`SketchParams.rows`, from the pair-collision bound) and B = 2k buckets.
@@ -35,18 +34,18 @@ an insert and -1 a delete: `load_stream` and `gen_stream` return it,
 `save_stream` writes it, and `process_many`, the one checked entry, applies
 it as one batch, which by linearity a loop of its rows equals.
 
-A net graph adds each update to the two entries of its pair.  A sketch
-state expands a batch into (slot, index, delta) items by pair level, and
-`sketch.accumulate` nets, hashes and sums them into the blocks.  Updates are
-expanded `UPDATE_CHUNK` at a time and `accumulate` hashes at most
-`sketch.WINDOW_CELLS` (item, row) pairs at a time, so a batch needs a few MB
-beyond the blocks whatever its length.  The sums are exact: counts and id
-sums are added as int64, as `SparseRecoverySketch.update` adds them, and
-fingerprints stay reduced mod 2^61 - 1, so a sketch block matches a loop of
-scalar updates bit for bit, and the sketch a dense state builds for a slot
-(`sketch_at`) equals the sketch the same updates would have built.  A sketch
-state recovers the n slots (j_v, v) by `sketch.peel` in groups of at most
-`sketch.WINDOW_CELLS` cells, and hands the pairs it peels to the same rule.
+A net graph nets a batch into its live pairs with one `np.unique`.  A
+sketch state expands a batch into (slot, index, delta) items by pair level,
+and `sketch.accumulate` nets, hashes and sums them into the blocks, taking
+updates `UPDATE_CHUNK` and (item, row) pairs `sketch.WINDOW_CELLS` at a
+time, so a batch needs a few MB beyond the blocks whatever its length.  The
+sums are exact: counts and id sums are added as int64, as
+`SparseRecoverySketch.update` adds them, and fingerprints stay reduced mod
+2^61 - 1, so a sketch block matches a loop of scalar updates bit for bit,
+and the sketch a dense state builds for a slot (`sketch_at`) equals the
+sketch the same updates would have built.  A sketch state recovers the n
+slots (j_v, v) by `sketch.peel` in groups of at most `sketch.WINDOW_CELLS`
+cells, and hands the pairs it peels to the same rule.
 """
 
 from __future__ import annotations
@@ -68,8 +67,8 @@ _SKETCH_TAG = 0x536B
 # delta) items, so the item arrays of one pass stay at a few MB
 UPDATE_CHUNK = 1 << 16
 
-# most bytes a `NetGraph` may hold, 8n^2 + 8n, so n <= 16,383; the stream
-# pools of planted 4x50 (n = 200, 478 slots) hold one net graph of 0.32 MB
+# most bytes a `NetGraph` may hold, 8n and 16 per live pair; so n < 2^28 and
+# a pair key min*n + max fits in int64
 POOL_BYTE_CAP = 2 << 30
 
 
@@ -78,7 +77,7 @@ class StreamError(ValueError):
 
 
 class PoolTooLarge(ValueError):
-    """A net graph whose count block would need more than `POOL_BYTE_CAP` bytes."""
+    """A net graph that would need more than `POOL_BYTE_CAP` bytes."""
 
 
 def stream_rows(updates) -> np.ndarray:
@@ -158,58 +157,60 @@ def _checked_update(deg: np.ndarray, updates):
 
 
 class NetGraph:
-    """The net graph of a stream: n degree counters and one symmetric (n, n)
-    int64 block `counts` of net pair counts, kept at both (u, v) and (v, u).
-    It depends on no seed, so any number of samples can share it, each drawn
-    under its own params.  Above `POOL_BYTE_CAP` bytes (8n^2 + 8n) the
-    constructor raises `PoolTooLarge` before it allocates anything."""
+    """The net graph of a stream: n degree counters, the sorted int64 `keys`
+    min*n + max of its live pairs (net count not 0) and their `counts`.  It
+    depends on no seed, so samples share it, each under its own params.  The
+    constructor and each batch (against the live pairs plus its rows, which a
+    merge holds) check `POOL_BYTE_CAP` before anything changes."""
 
     def __init__(self, n: int):
         if n < 1:
             raise StreamError("need n >= 1")
-        need = 8 * n * n + 8 * n
-        if need > POOL_BYTE_CAP:
-            raise PoolTooLarge(f"a net graph over {n} vertices needs {need / 2**30:.3g} GiB, "
-                               f"above the byte cap POOL_BYTE_CAP = {POOL_BYTE_CAP:,}")
         self.n = n
+        self._check_bytes(0)
         self.deg = np.zeros(n, dtype=np.int64)
-        self.counts = np.zeros((n, n), dtype=np.int64)
+        self.keys = self.counts = np.zeros(0, dtype=np.int64)  # replaced, never written
+
+    def _check_bytes(self, pairs: int) -> None:
+        need = 8 * self.n + 16 * pairs
+        if need > POOL_BYTE_CAP:
+            raise PoolTooLarge(f"a net graph over {self.n} vertices and {pairs:,} pairs needs "
+                               f"{need / 2**30:.3g} GiB, above POOL_BYTE_CAP = {POOL_BYTE_CAP:,}")
 
     def process_many(self, updates) -> None:
         """Apply (u, v, delta) rows as one batch; see `StreamState.process_many`."""
-        u, v, delta = _checked_update(self.deg, updates)
-        flat = self.counts.reshape(-1)  # a view: writes land in the block
-        np.add.at(flat, u * self.n + v, delta)
-        np.add.at(flat, v * self.n + u, delta)
+        rows = stream_rows(updates)
+        self._check_bytes(self.keys.size + len(rows))
+        u, v, delta = _checked_update(self.deg, rows)
+        new = np.minimum(u, v) * self.n + np.maximum(u, v)
+        keys, at = np.unique(np.concatenate([self.keys, new]), return_inverse=True)
+        counts = np.zeros(keys.size, dtype=np.int64)
+        np.add.at(counts, at, np.concatenate([self.counts, delta]))
+        self.keys, self.counts = keys[counts != 0], counts[counts != 0]
 
     def recover_sparsifier(self, params: SparsifierParams) -> Graph | None:
-        """The sampled graph of the net pairs under `params`, or None when a
-        pair the draw keeps has a net count other than 1 (the stream's net
-        graph is not simple)."""
-        u, v = np.nonzero(np.triu(self.counts, 1))
-        return _sampled_graph(self.n, params, self.deg, u, v, self.counts[u, v])
+        """The sampled graph under `params`, or None if a kept pair's count is not 1."""
+        u, v = np.divmod(self.keys, self.n)
+        return _sampled_graph(self.n, params, self.deg, u, v, self.counts)
 
     def memory_bytes(self) -> int:
-        return self.counts.nbytes + self.deg.nbytes
+        return self.deg.nbytes + self.keys.nbytes + self.counts.nbytes
 
 
 class StreamState:
     """Entire memory footprint of the streaming algorithm for one sample.
 
     Holds n degree counters and (levels+1) x n slots (i, v) for i in
-    0..`levels`, v's net adjacency over the pairs of level >= i, with
-    `levels` the cap L* that no recovery reads above (`level_cap`), sparsity
-    budget k = min(n, ceil(8Y)) and per-sketch failure probability
-    n^-(C+3) = n^-4, with C = `sparsify.FAIL_EXPONENT`.  State is linear:
-    it depends only on the net edge multiset.  Its randomness, pair levels
-    and slot sketch seeds, derives from `params.seed` alone.
+    0..`levels`, v's net adjacency over the pairs of level >= i, with the
+    level cap, sparsity budget k and per-sketch failure probability of
+    `state_shape`.  State is linear: it depends only on the net edge
+    multiset.  Its randomness, pair levels and slot sketch seeds, derives
+    from `params.seed` alone.
 
     When k == n (`dense_slots`, decided once here and kept in `dense`), a
-    `NetGraph` holds every slot; otherwise each slot an update touched is a
-    sketch, a row of three (S, R, B) blocks (see the module docstring), and
-    reads allocate no row: an untouched slot is the zero sketch.  Both give
-    the same `serialize` and, barring the sketch's random FAILs, the same
-    `recover_sparsifier`.
+    `NetGraph` holds every slot, else sketch rows do (see the module
+    docstring).  Both give the same `serialize` and, barring the sketch's
+    random FAILs, the same `recover_sparsifier`.
     """
 
     def __init__(self, n: int, params: SparsifierParams):
@@ -273,9 +274,8 @@ class StreamState:
     def sketch_at(self, level: int, v: int) -> SparseRecoverySketch:
         """A copy of the sketch of slot (level, v): a sketch state's block
         rows (the zero sketch, with no row allocated, for a slot no update
-        touched), or a dense state's row v filtered to the pairs of level >=
-        `level`, by linearity the same sketch.  Writes to it do not reach
-        the state."""
+        touched), or by linearity the same sketch built from a dense state's
+        live pairs at v of level >= `level`.  Writes to it miss the state."""
         if not (0 <= level <= self.levels and 0 <= v < self.n):
             raise StreamError(f"no sketch slot ({level}, {v})")
         row = -1 if self.dense else int(self._row[level * self.n + v])
@@ -284,10 +284,11 @@ class StreamState:
             return SparseRecoverySketch(sp, tuple(a[row].copy() for a in self._payload))
         sk = SparseRecoverySketch(self._sketch_params(prf(self.seed, _SKETCH_TAG, level, v)))
         if self.dense:
-            counts = self._net.counts[v]
-            idx = np.flatnonzero(counts)
-            idx = idx[pair_levels(self._level_seed, v, idx) >= level]
-            sk.update_many(idx, counts[idx])
+            a, b = np.divmod(self._net.keys, self.n)
+            at = (a == v) | (b == v)
+            idx = a[at] + b[at] - v  # the other end, ascending as in the keys
+            keep = pair_levels(self._level_seed, v, idx) >= level
+            sk.update_many(idx[keep], self._net.counts[at][keep])
         return sk
 
     def process(self, row) -> None:
@@ -366,7 +367,7 @@ class StreamState:
     # -- space accounting -----------------------------------------------------
 
     def memory_bytes(self) -> int:
-        """Bytes held by the net block or the sketch rows, and the degrees."""
+        """Bytes held by the live pairs or the sketch rows, and the degrees."""
         if self.dense:
             return self._net.memory_bytes()
         row = sum(a.itemsize * math.prod(a.shape[1:]) for a in self._payload)
@@ -374,20 +375,18 @@ class StreamState:
 
 
 def _sampled_graph(n: int, params: SparsifierParams, deg, u, v, count) -> Graph | None:
-    """The sampled graph of the pairs {u[t], v[t]} (u < v) of net counts
-    `count[t]`, over vertex degrees `deg`: a pair is kept when its level is
-    >= min(j_u, j_v), with weight 2^min(j_u, j_v), in (u, v, w) order.
-    None when a kept pair's count is not 1.  `sample_offline` and both
-    recovery paths of `StreamState` end here."""
+    """The sampled graph of the pairs {u[t], v[t]} (u < v, sorted by (u, v))
+    of net counts `count[t]`, over vertex degrees `deg`: a pair is kept when
+    its level is >= min(j_u, j_v), with weight 2^min(j_u, j_v), in the
+    pairs' order.  None when a kept pair's count is not 1.  `sample_offline`
+    and both recovery paths of `StreamState` end here."""
     ups = params.upsilon_for(max(n, 1))
     j = vertex_levels(deg, ups, level_cap(n, ups))
     j_min = np.minimum(j[u], j[v])
     keep = pair_levels(prf(params.seed, _LEVEL_TAG), u, v) >= j_min
     if (count[keep] != 1).any():
         return None
-    u, v, w = u[keep], v[keep], 2.0 ** j_min[keep]
-    by_edge = np.lexsort((w, v, u))
-    return Graph.from_arrays(n, u[by_edge], v[by_edge], w[by_edge])
+    return Graph.from_arrays(n, u[keep], v[keep], 2.0 ** j_min[keep])
 
 
 def sample_offline(G: Graph, params: SparsifierParams) -> Graph:
@@ -402,7 +401,8 @@ def sample_offline(G: Graph, params: SparsifierParams) -> Graph:
     if np.any(G.edge_w != 1.0):
         raise StreamError("sample_offline expects an unweighted graph")
     # every edge counts once: its unit weight
-    return _sampled_graph(G.n, params, G.deg, G.edge_u, G.edge_v, G.edge_w)
+    e = np.lexsort((G.edge_v, G.edge_u))
+    return _sampled_graph(G.n, params, G.deg, G.edge_u[e], G.edge_v[e], G.edge_w[e])
 
 
 # -- stream files --------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Dense slots against the sketch path, and the net graph's byte cap.
 
 A `StreamState` whose sparsity budget covers the universe (k == n) keeps
-the net graph, one count block that holds every slot.  Forcing the sketch
+the net graph, whose live pairs hold every slot.  Forcing the sketch
 path through the `stream.dense_slots` predicate must give the same
 serialized state and, where the sketch does not FAIL, the same recovered
 sparsifier.  Stream pools hold one net graph whatever Y is: they must
@@ -11,6 +11,7 @@ must draw what a standalone state with the slot's params recovers.
 
 import importlib
 import json
+import tracemalloc
 from contextlib import contextmanager
 
 import numpy as np
@@ -216,7 +217,7 @@ def test_dense_stream_pools_decompose_like_offline_pools(monkeypatch, graph, ups
     pools = SparsifierPools(B.n, params)
     pools.feed_many(gen_stream(B, churn=0.5, seed=seed))
     streamed, streamed_report = decompose(pools, params, reference_graph=B)
-    assert streamed_report.memory_bytes == 8 * B.n**2 + 8 * B.n
+    assert streamed_report.memory_bytes == 8 * B.n + 16 * B.num_edges
     monkeypatch.setattr(decompose_mod, "sample", sample_offline)
     offline, offline_report = decompose(B, params)
     assert [c.tolist() for c in streamed] == [c.tolist() for c in offline]
@@ -303,8 +304,8 @@ def test_sketch_state_recovery_allocates_no_row():
 def test_pools_over_the_cap_allocate_nothing(monkeypatch):
     B = barbell_graph(2, 4, 1)
     params = DecompParams(eps=0.3, quality_k=2, seed=1)
-    need = 8 * B.n**2 + 8 * B.n
-    assert SparsifierPools(B.n, params).memory_bytes() == need == 576
+    need = 8 * B.n
+    assert SparsifierPools(B.n, params).memory_bytes() == need == 64
     monkeypatch.setattr(stream_mod, "POOL_BYTE_CAP", need)
     SparsifierPools(B.n, params)
     monkeypatch.setattr(stream_mod, "POOL_BYTE_CAP", need - 1)
@@ -312,13 +313,43 @@ def test_pools_over_the_cap_allocate_nothing(monkeypatch):
         SparsifierPools(B.n, params)
     assert isinstance(err.value, ValueError)
     monkeypatch.undo()
-    # 18.6 GiB at the default cap: refused before anything is allocated,
-    # for the pools and for a single dense state alike
+    # 50,000 vertices: an n x n block would need 18.6 GiB, the live pairs of
+    # a sparse stream need 16 bytes each; the pools and a single dense state
+    # alike accept it and draw what `sample_offline` draws
+    n = 50_000
+    ring = Graph.from_arrays(n, np.arange(n), (np.arange(n) + 1) % n, np.ones(n))
+    updates = gen_stream(ring, churn=0.5, seed=1)
+    pools = SparsifierPools(n, params)
+    pools.feed_many(updates)
+    assert pools.memory_bytes() == 8 * n + 16 * n
+    assert_same_graph(pools.phase1(1), sample_offline(ring, pools._slot_params(("phase1", 1))))
     formula = SparsifierParams(delta=0.25, eps=0.5, seed=1)
-    with pytest.raises(PoolTooLarge, match="18.6 GiB"):
-        SparsifierPools(50_000, params)
-    with pytest.raises(PoolTooLarge, match="18.6 GiB"):
-        StreamState(50_000, formula)
+    state = StreamState(n, formula)
+    assert state.dense
+    state.process_many(updates)
+    assert_same_graph(state.recover_sparsifier(), sample_offline(ring, formula))
+
+
+def test_a_batch_over_the_cap_changes_nothing(monkeypatch):
+    B = barbell_graph(2, 4, 1)
+    pools = SparsifierPools(B.n, DecompParams(eps=0.3, quality_k=2, seed=1))
+    (net,) = pools.all_states()
+    updates = gen_stream(B, churn=0.5, seed=1)
+    head, rest = updates[:10], updates[10:]
+    pools.feed_many(head)
+    before = [a.copy() for a in (net.deg, net.keys, net.counts)]
+    assert net.keys.size > 0
+    # a merge holds the live pairs and the batch rows at once
+    need = 8 * B.n + 16 * (net.keys.size + len(rest))
+    monkeypatch.setattr(stream_mod, "POOL_BYTE_CAP", need - 1)
+    with pytest.raises(PoolTooLarge, match=f"POOL_BYTE_CAP = {need - 1}"):
+        pools.feed_many(rest)
+    for a, b in zip((net.deg, net.keys, net.counts), before):
+        assert np.array_equal(a, b)
+    monkeypatch.setattr(stream_mod, "POOL_BYTE_CAP", need)
+    pools.feed_many(rest)
+    assert np.array_equal(net.keys, np.sort(B.edge_u * B.n + B.edge_v))
+    assert (net.counts == 1).all()
 
 
 def test_cli_run_exits_2_for_pools_over_the_cap(tmp_path, monkeypatch):
@@ -333,8 +364,9 @@ def test_cli_run_exits_2_for_pools_over_the_cap(tmp_path, monkeypatch):
     path.write_text(cfg.to_json())
     out = tmp_path / "m.csv"
     assert main(["run", "--config", str(path), "--out-csv", str(out)]) == 0
-    # the pools hold one net graph of 8 * 8**2 + 8 * 8 = 576 bytes
-    monkeypatch.setattr(stream_mod, "POOL_BYTE_CAP", 500)
+    # the pools of 8 * 8 = 64 bytes take the stream's 25 rows as one batch,
+    # which needs 64 + 16 * 25 = 464 bytes
+    monkeypatch.setattr(stream_mod, "POOL_BYTE_CAP", 463)
     assert main(["run", "--config", str(path), "--out-csv", str(out)]) == 2
 
 
@@ -344,23 +376,43 @@ def test_cli_sketch_exits_2_for_a_dense_state_over_the_cap(tmp_path, monkeypatch
     save_stream(B.n, gen_stream(B, churn=0.5, seed=1), path)
     argv = ["sketch", "--stream", str(path), "--eps", "0.5", "--upsilon-override", "4",
             "--out", str(tmp_path / "h.txt")]
-    # Y = 4 gives k = n = 8: a dense state, one net graph of 576 bytes
-    monkeypatch.setattr(stream_mod, "POOL_BYTE_CAP", 575)
+    # Y = 4 gives k = n = 8: a dense state, one net graph of 64 bytes, to
+    # which the stream's 25 rows come as one batch of 64 + 16 * 25 bytes
+    monkeypatch.setattr(stream_mod, "POOL_BYTE_CAP", 463)
     assert main(argv) == 2
-    assert "POOL_BYTE_CAP = 575" in capsys.readouterr().err
+    assert "POOL_BYTE_CAP = 463" in capsys.readouterr().err
     assert not (tmp_path / "h.txt").exists()
-    monkeypatch.setattr(stream_mod, "POOL_BYTE_CAP", 576)
+    monkeypatch.setattr(stream_mod, "POOL_BYTE_CAP", 464)
     assert main(argv) == 0
+
+
+def test_cli_sketch_exits_2_for_a_huge_declared_n(tmp_path, capsys):
+    # a header of n = 2^40 and Y = 2^37 make k = n: a dense state whose
+    # degrees alone would take 8 TiB, refused before anything is allocated
+    path = tmp_path / "s.txt"
+    path.write_text(f"{2**40}\n+ 0 1\n")
+    out = tmp_path / "h.txt"
+    argv = ["sketch", "--stream", str(path), "--eps", "0.5", "--upsilon-override", str(2**37),
+            "--out", str(out)]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert "POOL_BYTE_CAP" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("n, upsilon_override, net_bytes", [
     # planted 4x50: 478 slots
-    (200, None, 321_600),
+    (200, None, 1_600),
     # k = 32 < n: a sketch state a slot needed 2.05 GiB here
-    (128, 4.0, 132_096),
+    (128, 4.0, 1_024),
 ], ids=["planted-4x50", "n128-Y4"])
 def test_pools_hold_one_net_graph_whatever_y(n, upsilon_override, net_bytes):
     params = DecompParams(eps=0.3, quality_k=2, seed=1, upsilon_override=upsilon_override)
     pools = SparsifierPools(n, params)
     (net,) = pools.all_states()
-    assert pools.memory_bytes() == net.memory_bytes() == 8 * n**2 + 8 * n == net_bytes
+    assert pools.memory_bytes() == net.memory_bytes() == 8 * n == net_bytes

@@ -17,6 +17,7 @@ from powercut.prf import prf
 from powercut.stream import (
     _LEVEL_TAG,
     StreamError,
+    level_cap,
     load_stream,
     pair_levels,
     pick_level,
@@ -201,6 +202,44 @@ def test_subsampling_actually_happens():
     assert set(H.edge_w.tolist()) - {1.0}  # some reweighted edges
 
 
+# The level rule's draws, checked as criterion 4 checks `sample`: a pair is
+# kept with probability 2^-j at weight 2^j, j = min(j_u, j_v), so each cut's
+# mean weight over seeds is G's.  Registered before the run: three G(12,
+# 0.45) graphs, whose vertices sit at levels 0, 1 and 2 at Y = 0.6, the cuts
+# (every singleton and every prefix {0..i} of 2..10 vertices) and the seeds
+# 0..1999; 3 sigma on 63 correlated cuts.
+LEVEL_RULE_GRAPHS = (1, 2, 3)
+LEVEL_RULE_SEEDS = 2000
+
+
+def test_level_rule_keeps_every_cut_weight_unbiased():
+    n, ups = 12, 0.6
+    cuts = [[v] for v in range(n)] + [list(range(i + 1)) for i in range(1, n - 2)]
+    sides = np.zeros((len(cuts), n), dtype=bool)
+    for c, side in enumerate(cuts):
+        sides[c, side] = True
+    levels_seen, worst = set(), 0.0
+    for g in LEVEL_RULE_GRAPHS:
+        G = gnp_graph(n, 0.45, seed=g)
+        j = vertex_levels(G.deg, ups, level_cap(n, ups))
+        j_e = np.minimum(j[G.edge_u], j[G.edge_v])
+        levels_seen |= set(j_e.tolist())
+        keys = G.edge_u * n + G.edge_v
+        W = np.zeros((LEVEL_RULE_SEEDS, G.num_edges))
+        for s in range(LEVEL_RULE_SEEDS):
+            H = sample_offline(G, small_params(upsilon_override=ups, seed=s))
+            W[s, np.searchsorted(keys, H.edge_u * n + H.edge_v)] = H.edge_w
+        # each kept pair carries 2^j of its own j
+        assert ((W == 0) | (W == 2.0 ** j_e)).all()
+        inc = (sides[:, G.edge_u] != sides[:, G.edge_v]).astype(np.float64)
+        dev = np.abs((W @ inc.T).mean(axis=0) - inc @ G.edge_w)
+        sigma = np.sqrt(inc @ (2.0 ** j_e - 1.0) / LEVEL_RULE_SEEDS)
+        assert (dev[sigma == 0] <= 1e-9).all()
+        worst = max(worst, float((dev[sigma > 0] / sigma[sigma > 0]).max()))
+    assert levels_seen == {0, 1, 2}
+    assert worst <= 3.0, f"a cut's mean weight is {worst:.2f} sigma from G's"
+
+
 def test_recovery_fail_is_a_value():
     # frozen configuration where a level sketch overflows its k budget
     G = complete_graph(6)
@@ -258,15 +297,16 @@ def test_space_accounting_matches_budget():
     st.recover_sparsifier()
     st.serialize()
     assert st.memory_bytes() == held
-    # what the `PoolTooLarge` check adds up, 8n^2 + 8n, is what a net graph
-    # and a dense state hold from the start
-    net_bytes = 8 * 32**2 + 8 * 32
-    assert NetGraph(32).memory_bytes() == net_bytes
+    # what the `PoolTooLarge` check adds up, 8n and 16 per live pair, is what
+    # a net graph and a dense state hold: the degrees from the start, then
+    # the key and count of each pair of the final graph
+    assert NetGraph(32).memory_bytes() == 8 * 32
     dense = StreamState(32, small_params(upsilon_override=4.0))
     assert dense.dense
-    assert dense.memory_bytes() == net_bytes
-    dense.process_many(gen_stream(gnp_graph(32, 0.3, seed=1), churn=0.5, seed=2))
-    assert dense.memory_bytes() == net_bytes
+    assert dense.memory_bytes() == 8 * 32
+    G = gnp_graph(32, 0.3, seed=1)
+    dense.process_many(gen_stream(G, churn=0.5, seed=2))
+    assert dense.memory_bytes() == 8 * 32 + 16 * G.num_edges
 
 
 def test_stream_file_roundtrip(tmp_path):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from powercut import (
     DecompParams,
     Graph,
+    NetGraph,
     SketchParams,
     SparseRecoverySketch,
     SparsifierParams,
@@ -288,6 +289,65 @@ def test_bad_pair_leaves_state_untouched():
         state.sketch_at(state.levels + 1, 0)
 
 
+# -- the net graph's live pairs ----------------------------------------------------
+
+
+# row runs of one pair: an insert, a delete, an insert that cancels to 0, a
+# pair driven to -1 and back, and one driven to -2 and back to +1
+MOTIFS = ([1], [-1], [1, -1], [-1, 1], [-1, -1, 1, 1, 1])
+
+
+@st.composite
+def netting_batches(draw):
+    """n, +-1 rows over [0, n) built from `MOTIFS`, optionally shuffled, and
+    the sorted points at which a run splits them into batches."""
+    n = draw(st.integers(2, 7))
+    rows = []
+    for _ in range(draw(st.integers(0, 10))):
+        u, v = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        rows += [(u, v, d) if draw(st.booleans()) else (v, u, d)
+                 for d in draw(st.sampled_from(MOTIFS))]
+    if draw(st.booleans()):
+        rows = draw(st.permutations(rows))
+    cuts = sorted(draw(st.lists(st.integers(0, len(rows)), max_size=4)))
+    return n, np.array(rows, dtype=np.int64).reshape(-1, 3), cuts
+
+
+def dict_net(n, rows):
+    """Reference netting: degrees and the sorted live (key, count) pairs of a
+    dict of net counts keyed min * n + max."""
+    deg, net = [0] * n, {}
+    for u, v, d in rows.tolist():
+        deg[u] += d
+        deg[v] += d
+        key = min(u, v) * n + max(u, v)
+        net[key] = net.get(key, 0) + d
+    live = sorted(k for k, c in net.items() if c)
+    return deg, live, [net[k] for k in live]
+
+
+@FAST
+@given(case=netting_batches())
+def test_net_graph_nets_any_split_like_a_dict(case):
+    n, rows, cuts = case
+    whole = NetGraph(n)
+    whole.process_many(rows)
+    deg, keys, counts = dict_net(n, rows)
+    assert whole.deg.tolist() == deg
+    assert whole.keys.tolist() == keys and whole.counts.tolist() == counts
+    split = NetGraph(n)
+    for lo, hi in zip([0] + cuts, cuts + [len(rows)]):
+        split.process_many(rows[lo:hi])
+        # after every batch: the prefix's netting, and no pair of count 0
+        deg, keys, counts = dict_net(n, rows[:hi])
+        assert split.deg.tolist() == deg
+        assert split.keys.tolist() == keys and split.counts.tolist() == counts
+        assert split.counts.all()
+    for a in ("deg", "keys", "counts"):
+        assert np.array_equal(getattr(split, a), getattr(whole, a))
+        assert getattr(split, a).dtype == np.int64
+
+
 # -- pools -------------------------------------------------------------------------
 
 
@@ -309,7 +369,7 @@ def test_pools_feed_many_equals_per_update_feed():
     (a,), (b,) = batch.all_states(), single.all_states()
     assert a.memory_bytes() == b.memory_bytes()
     assert np.array_equal(a.deg, b.deg)
-    assert np.array_equal(a.counts, b.counts)
+    assert np.array_equal(a.keys, b.keys) and np.array_equal(a.counts, b.counts)
     _, rep_a = decompose(batch, params_d, reference_graph=B)
     _, rep_b = decompose(single, params_d, reference_graph=B)
     assert rep_a.to_json() == rep_b.to_json()
@@ -321,7 +381,7 @@ def test_pools_reject_bad_batch_before_any_state_changes():
     with pytest.raises(StreamError):
         pools.feed_many(np.vstack([updates, [(0, B.n, 1)]]))
     (net,) = pools.all_states()
-    assert not net.deg.any() and not net.counts.any()
+    assert not net.deg.any() and net.keys.size == net.counts.size == 0
 
 
 # -- the same engine checks on the sketch path ---------------------------------------

@@ -305,8 +305,12 @@ def test_second_vector_is_reproducible(H):
 @st.composite
 def sweep_orders(draw):
     """A peeled graph, a sweep order of its active vertices, original
-    degrees (some zero) and a sparsity limit."""
+    degrees (some zero) and a sparsity limit.  Each weight is scaled by a
+    factor in [1, 2) with a full 52-bit mantissa, so the cut weights come
+    out of sums whose rounding depends on the order of summation."""
     H, active = draw(peeled())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    H = Graph.from_arrays(H.n, H.edge_u, H.edge_v, H.edge_w * rng.uniform(1.0, 2.0, H.num_edges))
     ids = np.flatnonzero(active)
     order = ids[np.array(draw(st.permutations(range(ids.size))), dtype=np.int64)]
     deg_g = H.deg * np.array(draw(st.lists(
