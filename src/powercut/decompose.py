@@ -10,9 +10,9 @@ remaining core is certified an expander.
 Each phase consumes sparsifiers from its own slots of one `SparsifierPools`:
 one per recursion depth for phase one, one per (outer, inner) iteration for
 phase two, shared across all phase-two invocations.  A slot's sparsifier is
-either an offline sample of the input graph or drawn, under the slot's own
-parameters, from the one net graph (`stream.NetGraph`) that saw the whole
-update stream.
+drawn, under the slot's own parameters and by the stream's level rule, from
+one net graph (`stream.NetGraph`): the input graph's pairs offline, or the
+live pairs of the whole update stream.
 
 Termination and quality bounds (recursion depth, iteration counts, the
 sparse-cut composition property, the singleton volume budget, per-cluster
@@ -45,6 +45,7 @@ from .graph import (
     min_conductance_bruteforce,
 )
 from .prf import prf
+# `sample` is not called here: kept for perfbench, whose tracer wraps `decompose.sample`
 from .sparsify import SparsifierParams, check_upsilon_override, sample
 from .stream import NetGraph, StreamError
 
@@ -179,44 +180,32 @@ class SparsifierPools:
     use and cached, at accuracy psi(0) in phase one and psi(j) in phase two.
     Asking for a slot beyond the schedule's bounds raises `PoolExhausted`.
 
-    Two sources, as two constructors:
+    Every slot draws by the stream's level rule, under its own parameters and
+    whatever its Y, from one `stream.NetGraph`, which depends on no seed:
 
-    * `SparsifierPools(n, params)` holds one `stream.NetGraph`: the degrees
-      and the live pairs with their net counts, which depend on no seed.  The
-      pools are built before the stream, fed every update, and handed to
-      `decompose` afterwards; each slot then draws its sample from the net
-      graph under its own parameters, whatever its Y.  A draw fails only when
-      the fed stream's net graph is not simple, which raises `StreamError`.
-      Pools or a batch above `stream.POOL_BYTE_CAP` bytes (8n, and 16 per
-      live pair and batch row) raise `stream.PoolTooLarge` before any change.
-    * `SparsifierPools.offline(G, params, sched)` samples G with the slot's
-      parameters; `decompose` builds it from a Graph source.
+    * `SparsifierPools(n, params)` starts from the empty stream; the pools
+      are fed every update, then handed to `decompose`.  A draw fails only
+      when the fed stream's net graph is not simple (`StreamError`).  Pools
+      or a batch above `stream.POOL_BYTE_CAP` bytes (8n, and 16 per live pair
+      and batch row) raise `stream.PoolTooLarge` before any change.
+    * `SparsifierPools.offline(G, params, sched)` holds G's pairs
+      (`NetGraph.of_graph`) and takes no updates; `decompose` builds it from
+      a Graph source.
 
-    `memory_bytes` is what the net graph holds, or three words per edge of
-    the offline samples drawn so far.
+    `memory_bytes` is what the net graph holds: 8n + 16 bytes per pair.
     """
 
     def __init__(self, n: int, params: DecompParams):
-        self._setup(n, params, make_schedule(params, n))
-        self._net = NetGraph(n)
-        self.deg = self._net.deg
+        self._net, self.params, self.sched = NetGraph(n), params, make_schedule(params, n)
+        self.n, self.deg, self._cache = n, self._net.deg, {}
 
     @classmethod
     def offline(cls, G: Graph, params: DecompParams, sched: Schedule) -> "SparsifierPools":
-        """Pools that sample G lazily, one independent sample per slot."""
+        """Pools that draw from G's net graph under `sched`."""
         pools = cls.__new__(cls)
-        pools._setup(G.n, params, sched)
-        pools._graph = G
-        pools.deg = G.deg
+        pools._net, pools.params, pools.sched = NetGraph.of_graph(G), params, sched
+        pools.n, pools.deg, pools._cache = G.n, G.deg, {}
         return pools
-
-    def _setup(self, n: int, params: DecompParams, sched: Schedule) -> None:
-        self.n = n
-        self.params = params
-        self.sched = sched
-        self._cache: dict[tuple, Graph] = {}
-        self._graph: Graph | None = None
-        self._net: NetGraph | None = None
 
     def _slot_params(self, key: tuple) -> SparsifierParams:
         """Sparsifier parameters of slot `key`."""
@@ -229,19 +218,16 @@ class SparsifierPools:
         )
 
     def all_states(self):
-        """The net graph of stream pools; none for offline pools."""
-        if self._net is not None:
-            yield self._net
+        """The one net graph the pools hold."""
+        yield self._net
 
     def feed(self, row) -> None:
         """Apply one (u, v, delta) row to the net graph: a batch of one."""
         self.feed_many([row])
 
     def feed_many(self, updates) -> None:
-        """Apply (u, v, delta) rows to the net graph as one checked batch;
-        offline pools hold none, and ignore them."""
-        for net in self.all_states():
-            net.process_many(updates)
+        """Apply (u, v, delta) rows to the net graph as one checked batch."""
+        self._net.process_many(updates)
 
     def phase1(self, depth: int) -> Graph:
         if not (1 <= depth <= self.sched.depth_bound):
@@ -257,11 +243,7 @@ class SparsifierPools:
 
     def _fetch(self, key: tuple) -> Graph:
         if key not in self._cache:
-            sp = self._slot_params(key)
-            if self._graph is not None:
-                g = sample(self._graph, sp)
-            else:
-                g = self._net.recover_sparsifier(sp)
+            g = self._net.recover_sparsifier(self._slot_params(key))
             if g is None:
                 raise StreamError(f"slot {key} reads a pair whose net count is not 1: "
                                   f"the fed stream's net graph is not simple")
@@ -269,8 +251,6 @@ class SparsifierPools:
         return self._cache[key]
 
     def memory_bytes(self) -> int:
-        if self._graph is not None:
-            return sum(g.edge_w.nbytes * 3 for g in self._cache.values())
         return self._net.memory_bytes()
 
 
@@ -339,15 +319,15 @@ class VerifyReport:
 # -- the driver ----------------------------------------------------------------
 
 
-def _phi_within(G: Graph, cluster_mask: np.ndarray, S: np.ndarray) -> float:
-    """Conductance of S inside G{cluster}: loops never cross, degrees kept."""
-    in_s = np.zeros(G.n, dtype=bool)
-    in_s[S] = True
-    inside = cluster_mask[G.edge_u] & cluster_mask[G.edge_v]
+def _phi_within(G: Graph, C: np.ndarray, S: np.ndarray) -> float:
+    """Conductance of S inside G{C}: loops never cross, degrees kept."""
+    in_c, in_s = np.zeros(G.n, dtype=bool), np.zeros(G.n, dtype=bool)
+    in_c[C] = in_s[S] = True
+    inside = in_c[G.edge_u] & in_c[G.edge_v]
     cross = inside & (in_s[G.edge_u] != in_s[G.edge_v])
     cw = float(G.edge_w[cross].sum())
     vol_s = float(G.deg[S].sum())
-    vol_rest = float(G.deg[cluster_mask].sum()) - vol_s
+    vol_rest = float(G.deg[in_c].sum()) - vol_s
     denom = min(vol_s, vol_rest)
     if denom <= 0:
         return math.inf
@@ -405,9 +385,7 @@ class Decomposer:
         """A returned cut must honor its advertised sparsity in G{cluster}."""
         if self.reference is None:
             return
-        mask = np.zeros(self.reference.n, dtype=bool)
-        mask[C] = True
-        actual = _phi_within(self.reference, mask, S)
+        actual = _phi_within(self.reference, C, S)
         alpha, d = self.sched.alpha, self.params.delta
         bound = alpha * phi if used_exact else (1.0 + 6.0 * d) * alpha * phi
         if actual > bound * (1.0 + REL_SLACK) + 1e-12:
@@ -483,9 +461,7 @@ class Decomposer:
         vol_u = self._vol(union)
         if vol_u > vol_snapshot / 2.0 * (1.0 + REL_SLACK):
             return
-        mask = np.zeros(self.reference.n, dtype=bool)
-        mask[snapshot] = True
-        actual = _phi_within(self.reference, mask, union)
+        actual = _phi_within(self.reference, snapshot, union)
         if actual > phi_prev * (1.0 + REL_SLACK) + 1e-12:
             raise DecompositionInvariantError(
                 f"composed cut sparsity {actual:.6g} exceeds {phi_prev:.6g}"
@@ -508,7 +484,7 @@ class Decomposer:
 def decompose(source, params: DecompParams, reference_graph: Graph | None = None):
     """Run the two-phase decomposition; returns (clusters, RunReport).
 
-    `source` is either a Graph, sampled by offline pools, or fed stream
+    `source` is either a Graph, drawn from by offline pools, or fed stream
     `SparsifierPools`.  When the original graph is available the
     termination and quality bounds are enforced as runtime checks; in pure
     streaming mode they are skipped.

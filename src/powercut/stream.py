@@ -18,7 +18,8 @@ keeps levels 0..L* only, and every recovery caps j_v there too.
 Layout.  What a `StreamState` keeps depends on the sparsity budget k:
 
 * k == n (`dense_slots`): a `NetGraph`, the net counts of the live pairs,
-  which stream pools hold whatever k is.  Slot (i, v) is v's live pairs of
+  which stream pools hold whatever k is (offline pools hold a graph's
+  merged pairs, `NetGraph.of_graph`).  Slot (i, v) is v's live pairs of
   level >= i, so recovering the slots (j_v, v) is `sample_offline`'s draw
   (`_sampled_graph`) from the live pairs, with no random FAILs.
 * k < n: a sparse-recovery sketch per slot, one row of each of three
@@ -67,8 +68,8 @@ _SKETCH_TAG = 0x536B
 # delta) items, so the item arrays of one pass stay at a few MB
 UPDATE_CHUNK = 1 << 16
 
-# most bytes a `NetGraph` may hold, 8n and 16 per live pair; so n < 2^28 and
-# a pair key min*n + max fits in int64
+# most bytes a `NetGraph` (8n and 16 per pair, so n < 2^28 and a key min*n +
+# max fits in int64) or a sketch state's degrees and slot rows may hold
 POOL_BYTE_CAP = 2 << 30
 
 
@@ -77,7 +78,13 @@ class StreamError(ValueError):
 
 
 class PoolTooLarge(ValueError):
-    """A net graph that would need more than `POOL_BYTE_CAP` bytes."""
+    """A net graph or sketch state that would need more than `POOL_BYTE_CAP` bytes."""
+
+
+def _check_cap(what: str, need: int) -> None:
+    if need > POOL_BYTE_CAP:
+        raise PoolTooLarge(f"{what} needs {need / 2**30:.3g} GiB, "
+                           f"above POOL_BYTE_CAP = {POOL_BYTE_CAP:,}")
 
 
 def stream_rows(updates) -> np.ndarray:
@@ -96,8 +103,7 @@ def pair_levels(level_seed: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Geometric sampling level of every unordered pair {u[t], v[t]}: the
     leading ones of `prf(level_seed, min(u, v), max(u, v))`; symmetric in
     the endpoints, so the pair belongs to level graph i iff it is >= i."""
-    u = np.asarray(u, dtype=np.int64)
-    v = np.asarray(v, dtype=np.int64)
+    u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
     start = np.uint64(mix64(level_seed & MASK64))
     return leading_ones_array(prf_array(start, np.minimum(u, v), np.maximum(u, v)))
 
@@ -130,15 +136,16 @@ def dense_slots(n: int, k: int) -> bool:
 
 def pick_level(deg: float, ups: float, max_level: int) -> int:
     """j_v = max(0, floor(log2(deg / (2Y)))), capped at `max_level`."""
-    if deg <= 0:
+    x = deg / (2.0 * ups)
+    if x < 1:  # a degree of 0 too, or one so small that the quotient underflows
         return 0
-    j = math.floor(math.log2(deg / (2.0 * ups)))
-    return min(max(0, j), max_level)
+    return math.floor(min(math.log2(x), max_level))
 
 
 def vertex_levels(deg, ups: float, max_level: int) -> np.ndarray:
-    """`pick_level` of every vertex degree, as an int64 array."""
-    return np.array([pick_level(float(x), ups, max_level) for x in deg], dtype=np.int64)
+    """`pick_level` of every vertex degree, once per distinct degree, as int64."""
+    values, at = np.unique(np.asarray(deg), return_inverse=True)
+    return np.array([pick_level(float(x), ups, max_level) for x in values], dtype=np.int64)[at]
 
 
 def _checked_update(deg: np.ndarray, updates):
@@ -157,11 +164,12 @@ def _checked_update(deg: np.ndarray, updates):
 
 
 class NetGraph:
-    """The net graph of a stream: n degree counters, the sorted int64 `keys`
-    min*n + max of its live pairs (net count not 0) and their `counts`.  It
-    depends on no seed, so samples share it, each under its own params.  The
-    constructor and each batch (against the live pairs plus its rows, which a
-    merge holds) check `POOL_BYTE_CAP` before anything changes."""
+    """The net graph of a stream or a graph: n degrees, the sorted int64 `keys`
+    min*n + max of its pairs, and a stream's int64 net `counts` (live pairs:
+    count not 0) or a graph's float64 `weights` (`of_graph`).  It depends on
+    no seed, so samples share it, each under its own params.  Constructors
+    and batches (against the live pairs plus its rows, which a merge holds)
+    check `POOL_BYTE_CAP` before anything is allocated or changed."""
 
     def __init__(self, n: int):
         if n < 1:
@@ -170,15 +178,27 @@ class NetGraph:
         self._check_bytes(0)
         self.deg = np.zeros(n, dtype=np.int64)
         self.keys = self.counts = np.zeros(0, dtype=np.int64)  # replaced, never written
+        self.weights = None
+
+    @classmethod
+    def of_graph(cls, G: Graph) -> "NetGraph":
+        """G's pairs, parallel edges merged into their summed weight and a
+        loop as the pair (v, v), over `G.deg`; it takes no stream rows."""
+        net = cls.__new__(cls)
+        net.n, net.deg, net.counts = G.n, G.deg, None
+        net._check_bytes(G.num_edges)
+        net.keys, at = np.unique(G.edge_u * G.n + G.edge_v, return_inverse=True)
+        net.weights = np.bincount(at, G.edge_w, minlength=net.keys.size)
+        return net
 
     def _check_bytes(self, pairs: int) -> None:
-        need = 8 * self.n + 16 * pairs
-        if need > POOL_BYTE_CAP:
-            raise PoolTooLarge(f"a net graph over {self.n} vertices and {pairs:,} pairs needs "
-                               f"{need / 2**30:.3g} GiB, above POOL_BYTE_CAP = {POOL_BYTE_CAP:,}")
+        _check_cap(f"a net graph over {self.n} vertices and {pairs:,} pairs",
+                   8 * self.n + 16 * pairs)
 
     def process_many(self, updates) -> None:
         """Apply (u, v, delta) rows as one batch; see `StreamState.process_many`."""
+        if self.counts is None:
+            raise StreamError("a graph's net graph takes no stream rows")
         rows = stream_rows(updates)
         self._check_bytes(self.keys.size + len(rows))
         u, v, delta = _checked_update(self.deg, rows)
@@ -191,10 +211,11 @@ class NetGraph:
     def recover_sparsifier(self, params: SparsifierParams) -> Graph | None:
         """The sampled graph under `params`, or None if a kept pair's count is not 1."""
         u, v = np.divmod(self.keys, self.n)
-        return _sampled_graph(self.n, params, self.deg, u, v, self.counts)
+        return _sampled_graph(self.n, params, self.deg, u, v, self.counts, self.weights)
 
     def memory_bytes(self) -> int:
-        return self.deg.nbytes + self.keys.nbytes + self.counts.nbytes
+        held = (self.deg, self.keys, self.counts, self.weights)
+        return sum(a.nbytes for a in held if a is not None)
 
 
 class StreamState:
@@ -216,9 +237,7 @@ class StreamState:
     def __init__(self, n: int, params: SparsifierParams):
         if n < 1:
             raise StreamError("need n >= 1")
-        self.n = n
-        self.params = params
-        self.seed = params.seed
+        self.n, self.params, self.seed = n, params, params.seed
         self.upsilon = params.upsilon_for(n)
         self.levels, self.k, self.sketch_p = state_shape(n, params)
         self.dense = dense_slots(n, self.k)
@@ -227,6 +246,8 @@ class StreamState:
             self._net = NetGraph(n)
             self.deg = self._net.deg
             return
+        _check_cap(f"a sketch state over {n} vertices and {self.levels + 1} levels",
+                   8 * n + 8 * (self.levels + 1) * n)
         self.deg = np.zeros(n, dtype=np.int64)
         R, B = self._sketch_params(0).rows, 2 * self.k
         # slot (level, v) has key level * n + v and sketch seed
@@ -374,19 +395,22 @@ class StreamState:
         return self._used * row + self.deg.nbytes
 
 
-def _sampled_graph(n: int, params: SparsifierParams, deg, u, v, count) -> Graph | None:
-    """The sampled graph of the pairs {u[t], v[t]} (u < v, sorted by (u, v))
-    of net counts `count[t]`, over vertex degrees `deg`: a pair is kept when
-    its level is >= min(j_u, j_v), with weight 2^min(j_u, j_v), in the
-    pairs' order.  None when a kept pair's count is not 1.  `sample_offline`
-    and both recovery paths of `StreamState` end here."""
+def _sampled_graph(n: int, params: SparsifierParams, deg, u, v, count, weight=None):
+    """The pairs {u[t], v[t]} (u <= v, sorted) of net counts `count[t]` (None:
+    a graph's, which count once) and weights `weight[t]` (None: 1) kept when
+    their level is >= min(j_u, j_v) over degrees `deg`, at weight w * 2^min,
+    or None when a kept pair's count is not 1.  Every draw ends here."""
     ups = params.upsilon_for(max(n, 1))
     j = vertex_levels(deg, ups, level_cap(n, ups))
     j_min = np.minimum(j[u], j[v])
-    keep = pair_levels(prf(params.seed, _LEVEL_TAG), u, v) >= j_min
-    if (count[keep] != 1).any():
+    # every pair level is >= 0: a pair at j_min = 0 is kept without its PRF
+    keep = j_min == 0
+    up = np.flatnonzero(~keep)
+    keep[up] = pair_levels(prf(params.seed, _LEVEL_TAG), u[up], v[up]) >= j_min[up]
+    if count is not None and (count[keep] != 1).any():
         return None
-    return Graph.from_arrays(n, u[keep], v[keep], 2.0 ** j_min[keep])
+    w = 2.0 ** j_min[keep]
+    return Graph.from_arrays(n, u[keep], v[keep], w if weight is None else weight[keep] * w)
 
 
 def sample_offline(G: Graph, params: SparsifierParams) -> Graph:

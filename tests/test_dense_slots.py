@@ -5,8 +5,9 @@ the net graph, whose live pairs hold every slot.  Forcing the sketch
 path through the `stream.dense_slots` predicate must give the same
 serialized state and, where the sketch does not FAIL, the same recovered
 sparsifier.  Stream pools hold one net graph whatever Y is: they must
-decompose like offline pools that draw `sample_offline`, and every slot
-must draw what a standalone state with the slot's params recovers.
+decompose like offline pools, which draw from G's net graph by the same
+rule, and every slot must draw what a standalone state with the slot's
+params recovers.
 """
 
 import importlib
@@ -207,19 +208,17 @@ def _pool_graph(model, c, size):
 
 @pytest.mark.parametrize("graph, upsilon_override, seed", POOL_CASES,
                          ids=[_case_id(case) for case in POOL_CASES])
-def test_dense_stream_pools_decompose_like_offline_pools(monkeypatch, graph, upsilon_override,
-                                                         seed):
-    # each slot draws from the net graph exactly what `sample_offline` draws
-    # from the final graph with the slot's parameters, so stream pools must
-    # decompose like offline pools that draw `sample_offline`
+def test_dense_stream_pools_decompose_like_offline_pools(graph, upsilon_override, seed):
+    # offline pools draw from G's net graph by the same level rule, so stream
+    # pools fed a stream whose net graph is G decompose like them
     B = _pool_graph(*graph)
     params = DecompParams(eps=0.3, quality_k=2, seed=seed, upsilon_override=upsilon_override)
     pools = SparsifierPools(B.n, params)
     pools.feed_many(gen_stream(B, churn=0.5, seed=seed))
     streamed, streamed_report = decompose(pools, params, reference_graph=B)
     assert streamed_report.memory_bytes == 8 * B.n + 16 * B.num_edges
-    monkeypatch.setattr(decompose_mod, "sample", sample_offline)
     offline, offline_report = decompose(B, params)
+    assert offline_report.memory_bytes == streamed_report.memory_bytes
     assert [c.tolist() for c in streamed] == [c.tolist() for c in offline]
     assert _report_without_memory(streamed_report) == _report_without_memory(offline_report)
     drawn = SparsifierPools.offline(B, params, pools.sched)
@@ -386,14 +385,12 @@ def test_cli_sketch_exits_2_for_a_dense_state_over_the_cap(tmp_path, monkeypatch
     assert main(argv) == 0
 
 
-def test_cli_sketch_exits_2_for_a_huge_declared_n(tmp_path, capsys):
-    # a header of n = 2^40 and Y = 2^37 make k = n: a dense state whose
-    # degrees alone would take 8 TiB, refused before anything is allocated
+def _sketch_exits_2_allocating_nothing(tmp_path, capsys, n, upsilon_override):
     path = tmp_path / "s.txt"
-    path.write_text(f"{2**40}\n+ 0 1\n")
+    path.write_text(f"{n}\n+ 0 1\n")
     out = tmp_path / "h.txt"
-    argv = ["sketch", "--stream", str(path), "--eps", "0.5", "--upsilon-override", str(2**37),
-            "--out", str(out)]
+    argv = ["sketch", "--stream", str(path), "--eps", "0.5", "--upsilon-override",
+            str(upsilon_override), "--out", str(out)]
     tracemalloc.start()
     try:
         assert main(argv) == 2
@@ -403,6 +400,19 @@ def test_cli_sketch_exits_2_for_a_huge_declared_n(tmp_path, capsys):
     assert peak < 1 << 20
     assert "POOL_BYTE_CAP" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_sketch_exits_2_for_a_huge_declared_n(tmp_path, capsys):
+    # a header of n = 2^40 and Y = 2^37 make k = n: a dense state whose
+    # degrees alone would take 8 TiB, refused before anything is allocated
+    _sketch_exits_2_allocating_nothing(tmp_path, capsys, 2**40, 2**37)
+
+
+def test_cli_sketch_exits_2_for_a_sketch_state_over_the_cap(tmp_path, capsys):
+    # Y = 4 gives k = 32 < n = 2^44: a sketch state, whose degrees and slot
+    # rows over L* + 1 = 41 levels would take 8n + 8 * 41 * n bytes, 5.25 PiB;
+    # refused before either array is allocated
+    _sketch_exits_2_allocating_nothing(tmp_path, capsys, 2**44, 4)
 
 
 @pytest.mark.parametrize("n, upsilon_override, net_bytes", [

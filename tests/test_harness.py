@@ -17,6 +17,7 @@ from powercut import (
     DecompParams,
     Graph,
     GraphError,
+    SparsifierParams,
     barbell_graph,
     decompose,
     gen_graph,
@@ -638,7 +639,11 @@ def test_perfbench_tracer_installs_and_uninstalls():
     tracer = tracer_mod.Tracer()
     tracer.install()
     try:
-        dmod.decompose(barbell_graph(2, 4, 1), DecompParams(eps=0.3, quality_k=2, seed=1))
+        G = barbell_graph(2, 4, 1)
+        dmod.decompose(G, DecompParams(eps=0.3, quality_k=2, seed=1))
+        # offline pools draw by the level rule: `sample` is called here only
+        # to check the wrapper perfbench puts on `decompose.sample`
+        dmod.sample(G, SparsifierParams(delta=0.25, eps=0.5, seed=1))
     finally:
         tracer.uninstall()
     assert tracer.counts["decompose.pool_fetch.calls"] > 0
