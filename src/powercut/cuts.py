@@ -13,16 +13,17 @@ smallest vertex set.
 
 `sweep_balanced_cut` is the polynomial stand-in for the flow-based balanced
 cut black box: the second eigenvector of the lazy normalized walk matrix
-from one `scipy.sparse.linalg.eigsh` call (ARPACK's Lanczos), a sweep over
-prefixes of the eigenvector order, and iterative peeling of successive
-sub-phi sweep cuts to improve balance until the accumulated cut reaches
-half the cluster volume or no sub-phi sweep cut remains.  Each round reads
-H's own nonloop edge arrays, kept to the round's vertex set, and takes every
-prefix's cut weight from one cumsum over edge ends.  Its advertised
-constants are measured, not proven.  On clusters of at most
-`CERTIFY_LIMIT` vertices it first tries a Cheeger certificate: when
-lambda_2 / 2 of the normalized Laplacian clears phi, no cut has
-Phi' <= phi, so its Expander verdict is a proof and no eigensolve runs.
+from one `scipy.sparse.linalg.eigsh` call (ARPACK's Lanczos, with the known
+top eigenvector deflated), a sweep over prefixes of the eigenvector order,
+and iterative peeling of successive sub-phi sweep cuts to improve balance
+until the accumulated cut reaches half the cluster volume or no sub-phi
+sweep cut remains.  Each round reads H's own nonloop edge arrays, kept to
+the round's vertex set, and takes every prefix's cut weight from one cumsum
+over edge ends.  Its advertised constants are measured, not proven.  On
+clusters of at most `CERTIFY_LIMIT` vertices it first tries a Cheeger
+certificate, a Cholesky threshold test: when lambda_2 / 2 of the normalized
+Laplacian clears phi, no cut has Phi' <= phi, so its Expander verdict is a
+proof and no eigensolve runs.
 
 The sweep is the package's only user of scipy and imports it once it gets
 past the certificate, so a run whose every sweep is certified, or that
@@ -39,9 +40,9 @@ import numpy as np
 from .graph import BRUTE_FORCE_LIMIT, REL_SLACK, Graph, GraphError, enumerate_cut_stats, mask_to_set
 
 
-# largest cluster the sweep tries to certify with a dense eigvalsh, O(n^3)
-# time and n^2 floats; the check is wasted on every cluster with a sparse
-# cut, and at this size it costs 3-5 ms (one BLAS thread) and 0.5 MB.  On
+# largest cluster the sweep tries to certify with a dense Cholesky, O(n^3)
+# time and 2n^2 floats; the check is wasted on every cluster with a sparse
+# cut, and at this size it costs 1.3-1.7 ms (one BLAS thread) and 1.1 MB.  On
 # 600-vertex planted graphs with 120- and 200-vertex expander blocks, a cap
 # of 64 gave 1.6x and 1.5x the fast decompose-and-verify time of this one;
 # on 60-vertex blocks the caps 64, 128 and 256 timed the same
@@ -147,31 +148,49 @@ def _inside(edges, n: int, ids: np.ndarray):
 def _certified_expander(H: Graph, deg_g: np.ndarray, phi_limit: float) -> bool:
     """True when Cheeger's inequality proves every cut of H has Phi' > phi_limit.
 
-    N = D_g^{-1/2} L_H D_g^{-1/2}, with L_H the Laplacian of H's nonloop
-    edges and D_g = diag(deg_g).  The test vector 1_S/Vol(S) - 1_R/Vol(R)
-    for a cut (S, R) gives lambda_2(N) <= 2 w_H(S, R) / min(Vol(S), Vol(R)),
-    so lambda_2 / 2 bounds Phi' from below (the easy direction of Cheeger's
-    inequality).  The margin covers eigvalsh's backward error and the
-    rounding in building N.  It does not cover the rounding of the sweep's
-    own cut sums, so where a float sweep would report a cut that the
-    certificate disproves, the certified Expander verdict is the correct
-    one.  Skipped (False) when some deg_g <= 0, n == 1 or n > CERTIFY_LIMIT.
+    N = D_g^{-1/2} L_H D_g^{-1/2}, L_H the Laplacian of H's nonloop edges,
+    D_g = diag(deg_g).  The test vector 1_S/Vol(S) - 1_R/Vol(R) of a cut
+    (S, R) gives lambda_2(N) <= 2 w_H(S, R) / min(Vol(S), Vol(R)) (the easy
+    direction of Cheeger's inequality), so lambda_2(N) > c = 2 (1 + 1e-6)
+    phi_limit suffices.  By interlacing it holds when M = N - cI + z z^T is
+    positive definite, for any z; z = sqrt(deg_g) scaled to squared norm
+    1 + c has N z = 0, so M keeps N's other eigenvalues less c and turns
+    the 0 into 1.  A Cholesky factorization of M - err I decides it.  When
+    it completes, R^T R = A + dA for the computed A with ||dA||_2 <=
+    n gamma_{n+1} ||A + dA||_2 (Higham, *Accuracy and Stability*, Thm 10.3,
+    and || |R^T| |R| ||_2 <= n ||R||_2^2); building A rounds each entry by
+    at most (n + 5) u times the magnitudes summed into it.  With deg_h the
+    nonloop H-degrees, ||N||_2 and || |N| ||_2 are at most 2 max(deg_h /
+    deg_g), so ||A||_2 <= K + err, K = 2 max(deg_h / deg_g) + 1 + 2c; both
+    errors stay below g (K + err), g = 2 (n + 1)^2 u, which err = g K /
+    (1 - g) equals, so M itself is positive definite.  The margin does not
+    cover the rounding of the sweep's own cut sums: where a float sweep
+    would report a cut that the certificate disproves, the certified
+    Expander verdict is the correct one.  Skipped (False) when some
+    deg_g <= 0, n == 1 or n > CERTIFY_LIMIT.
     """
     n = H.n
     if n <= 1 or n > CERTIFY_LIMIT or not np.all(deg_g > 0):
         return False
     nonloop = H.edge_u != H.edge_v
     u, v, w = H.edge_u[nonloop], H.edge_v[nonloop], H.edge_w[nonloop]
-    lap = np.zeros((n, n))
-    np.add.at(lap, (u, v), -w)
-    np.add.at(lap, (v, u), -w)
-    np.fill_diagonal(lap, -lap.sum(axis=1))
+    deg_h = np.bincount(u, w, n) + np.bincount(v, w, n)
+    c = 2.0 * (1.0 + 1e-6) * phi_limit
+    g = (n + 1) ** 2 * float(np.finfo(np.float64).eps)  # 2 (n + 1)^2 u
+    err = g * (2.0 * float(np.max(deg_h / deg_g)) + 1.0 + 2.0 * c) / (1.0 - g)
+    # D_g^{1/2} (M - err I) D_g^{1/2} = L_H + (1 + c) deg_g deg_g^T / Vol - (c + err) D_g
+    mat = np.outer(deg_g, deg_g * ((1.0 + c) / float(deg_g.sum())))
+    np.add.at(mat, (u, v), -w)
+    np.add.at(mat, (v, u), -w)
+    mat[np.diag_indices(n)] += deg_h - (c + err) * deg_g
     scale = 1.0 / np.sqrt(deg_g)
-    lap *= scale[:, None]
-    lap *= scale[None, :]
-    lam = np.linalg.eigvalsh(lap)
-    err = 16.0 * n * float(np.finfo(np.float64).eps) * max(1.0, abs(float(lam[-1])))
-    return float(lam[1]) / 2.0 - err > (1.0 + 1e-6) * phi_limit
+    mat *= scale[:, None]
+    mat *= scale[None, :]
+    try:
+        np.linalg.cholesky(mat)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _components(edges, active: np.ndarray) -> list[np.ndarray]:
@@ -191,16 +210,19 @@ def _second_vector(edges, deg_h: np.ndarray, active_ids: np.ndarray) -> np.ndarr
     W = (I + D_h^{-1/2} A D_h^{-1/2}) / 2, with the loops plus the degree
     lost to peeled vertices on A's diagonal.
 
-    Every row of A sums to the vertex's full H-degree, so sqrt(deg) is the
-    top eigenvector, eigenvalue 1.  One `eigsh` call (ARPACK's Lanczos)
-    finds the top two from the fixed start vector x0 = sin(1 + 0.7 i); a
-    connected pair takes the closed form, the unit vector orthogonal to
-    sqrt(deg).  The sign makes x0 @ vec nonnegative, the sign that a power
-    iteration from x0 would converge to.  When Lanczos exhausts x0's Krylov
-    space, ARPACK restarts from a random vector (a 12-vertex star does);
-    with a degenerate lambda_2 that draw picks the returned vector, so each
-    call draws it from a fresh generator of fixed seed, and one input gives
-    one vector.  Raises `SweepNumericFailure` when ARPACK does not converge.
+    Every row of A sums to the vertex's full H-degree, so t = sqrt(deg) /
+    ||sqrt(deg)|| is the top eigenvector, eigenvalue 1, and a sparse cut
+    puts lambda_2 just below it, a near-tie on which Lanczos is slow.  So
+    one `eigsh` call (ARPACK's Lanczos) finds the top eigenvector of
+    x -> W x - t (t @ x), W with t's eigenvalue moved to 0, from the fixed
+    start vector x0 = sin(1 + 0.7 i) less its t part; a connected pair
+    takes the closed form, the unit vector orthogonal to t.  The sign makes
+    x0 @ vec nonnegative, the sign that a power iteration from x0 would
+    converge to.  When Lanczos exhausts x0's Krylov space, ARPACK restarts
+    from a random vector (a 12-vertex star does); with a degenerate
+    lambda_2 that draw picks the returned vector, so each call draws it
+    from a fresh generator of fixed seed, and one input gives one vector.
+    Raises `SweepNumericFailure` when ARPACK does not converge.
     """
     n_a = active_ids.size
     d = deg_h[active_ids]
@@ -210,7 +232,7 @@ def _second_vector(edges, deg_h: np.ndarray, active_ids: np.ndarray) -> np.ndarr
         vec = np.array([math.sqrt(d[1]), -math.sqrt(d[0])])
     else:
         from scipy.sparse import csr_matrix
-        from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+        from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
         a, b, w = _inside(edges, deg_h.size, active_ids)
         # both orientations of each edge, edge by edge
         rows, cols = np.column_stack([a, b]).ravel(), np.column_stack([b, a]).ravel()
@@ -222,11 +244,14 @@ def _second_vector(edges, deg_h: np.ndarray, active_ids: np.ndarray) -> np.ndarr
                              0.5 + 0.5 * diag / d]),
              (np.concatenate([rows, ids]), np.concatenate([cols, ids]))),
             shape=(n_a, n_a))
+        t = np.sqrt(d) / math.sqrt(float(d.sum()))
+        deflated = LinearOperator((n_a, n_a), lambda x: W @ x - t * (t @ x), dtype=float)
         try:
-            _, vecs = eigsh(W, k=2, which="LA", v0=x0, rng=np.random.default_rng(0))
+            _, vecs = eigsh(deflated, k=1, which="LA", v0=x0 - t * (t @ x0),
+                            rng=np.random.default_rng(0))
         except ArpackNoConvergence as exc:
             raise SweepNumericFailure(f"eigsh did not converge: {exc}") from exc
-        vec = vecs[:, 0]  # eigenvalues come ascending: lambda_2, then 1
+        vec = vecs[:, 0]
     vec /= math.sqrt(float(vec @ vec))
     return vec if x0 @ vec >= 0 else -vec
 

@@ -3,7 +3,8 @@ it cannot apply, and outcome-neutral against the eigensolver path.
 
 `_certified_expander` claims that lambda_2 / 2 of the normalized Laplacian
 proves every cut's Phi' above phi_limit; the brute-force minimum over all
-cuts checks that claim.  With the check patched off, the sweep must reach
+cuts checks that claim, and above the brute-force range its verdicts must
+match a dense eigvalsh's.  With the check patched off, the sweep must reach
 the same Expander verdict, must still agree with the dense-oracle reference
 of `test_sweep_arrays.py`, and a whole decomposition must give
 byte-identical reports and clusters.
@@ -14,9 +15,11 @@ import pytest
 from powercut import (
     DecompParams,
     Graph,
+    SparsifierParams,
     decompose,
     planted_partition_graph,
     random_regular_graph,
+    sample,
     sweep_balanced_cut,
     verify_decomposition,
 )
@@ -90,6 +93,54 @@ def test_certificate_is_sound_against_brute_force():
                 mp.setattr(cuts, "_certified_expander", lambda *a: False)
                 assert sweep_balanced_cut(H, deg_g, phi_limit).expander
     assert certified > 200 and refused > 200
+
+
+def eigvalsh_verdict(H, deg_g, phi_limit):
+    """The certificate as a dense eigvalsh, with a backward-error margin of
+    16 n eps times a bound on N's largest eigenvalue."""
+    lam = lambda_2(H, deg_g)
+    err = 16.0 * H.n * float(np.finfo(np.float64).eps) * 2.0 * float(np.max(H.deg / deg_g))
+    return lam / 2.0 - err > (1.0 + 1e-6) * phi_limit
+
+
+def with_degrees(H):
+    return H, H.deg
+
+
+def ring(n):
+    return Graph(n, [(v, (v + 1) % n) for v in range(n)])
+
+
+def sparsified_block():
+    """Block 0 of a planted 4x60 graph, drawn from a sampled sparsifier as
+    `decompose` draws a cluster, with the original degrees (which count the
+    edges to the other blocks) above its sampled ones."""
+    G = planted_partition_graph(4, 60, 0.5, 0.1, 3)
+    H = sample(G, SparsifierParams(delta=1 / 16, eps=0.3, upsilon_override=8.0, seed=5))
+    C = np.arange(60)
+    H_c = H.induce_with_loops(C)
+    keep = H_c.edge_u != H_c.edge_v
+    inner = np.bincount(H_c.edge_u[keep], H_c.edge_w[keep], 60) + np.bincount(
+        H_c.edge_v[keep], H_c.edge_w[keep], 60)
+    assert np.all(G.deg[C] > inner) and H_c.num_edges < G.induce_with_loops(C).num_edges
+    return H_c, G.deg[C]
+
+
+@pytest.mark.parametrize("case", [
+    lambda: with_degrees(random_regular_graph(60, 18, 1)),
+    lambda: with_degrees(random_regular_graph(120, 18, 2)),
+    lambda: with_degrees(random_regular_graph(256, 18, 3)),
+    lambda: with_degrees(ring(120)),
+    sparsified_block,
+], ids=["regular-60-18", "regular-120-18", "regular-256-18", "cycle-120", "sparsified-block"])
+def test_certificate_agrees_with_eigvalsh_above_brute_force(case):
+    H, deg_g = case()
+    half_lam = lambda_2(H, deg_g) / 2.0
+    assert eigvalsh_verdict(H, deg_g, 0.5 * half_lam)
+    assert cuts._certified_expander(H, deg_g, 0.5 * half_lam)
+    for factor in (1.0, 2.0):
+        assert not eigvalsh_verdict(H, deg_g, factor * half_lam)
+        assert not cuts._certified_expander(H, deg_g, factor * half_lam)
 
 
 def test_certificate_skips_what_it_cannot_prove(monkeypatch):

@@ -302,6 +302,33 @@ def test_second_vector_is_reproducible(H):
         assert cuts._second_vector(edges, H.deg, ids).tobytes() == first.tobytes()
 
 
+def test_second_vector_on_a_long_planted_path():
+    # 20 random 12-vertex blocks in a path, one bridge between neighbours:
+    # lambda_2 of the walk matrix lies within 1e-4 of its top eigenvalue 1,
+    # the near-tie that deflating sqrt(deg) takes out of the eigensolve
+    rng = np.random.default_rng(1)
+    blocks, size = 20, 12
+    u, v = [], []
+    for b in range(blocks):
+        a, c = rng.integers(0, size, (2, 4 * size)) + b * size
+        u += a.tolist()
+        v += c.tolist()
+        if b + 1 < blocks:
+            u.append(b * size)
+            v.append((b + 1) * size + 1)
+    H = Graph.from_arrays(blocks * size, u, v, rng.uniform(0.5, 2.0, len(u)))
+    edges, ids = nonloop_edges(H), np.arange(H.n)
+    assert len(ref_components(edges, np.ones(H.n, dtype=bool))) == 1
+    got = cuts._second_vector(edges, H.deg, ids)
+    want, gap, margin = ref_second_vector(edges, H.deg, ids)
+    assert gap < GAP and margin > SIGN_MARGIN
+    # a vector error of order eps / gap: VEC_TOL at GAP, scaled up below it
+    assert np.abs(got - want).max() <= VEC_TOL * GAP / gap
+    assert np.array_equal(np.lexsort((ids, got)), np.lexsort((ids, want)))
+    root_deg = np.sqrt(H.deg)
+    assert abs(got @ root_deg) <= 1e-9 * np.linalg.norm(root_deg)
+
+
 @st.composite
 def sweep_orders(draw):
     """A peeled graph, a sweep order of its active vertices, original
