@@ -19,7 +19,11 @@ in the update stream, so sketches with equal parameters and seed can be
 merged bucket-wise.
 Sketches of one shape stack into (S, R, B) blocks: `accumulate` adds items
 to a block and `peel` recovers all its sketches at once, both through
-`_add_cells`; `update_many` and `recover` run them on a block of one.
+`_add_cells`; `update_many` and `recover` run them on a block of one.  Both
+form the fingerprint terms value * r^index of a whole window or peeling
+round in `fingerprint_terms`, as `field_pow` array passes from
+`FIELD_ARRAY_MIN` items up and on Python ints below; the scalar `update`
+keeps its own `pow` as the reference.
 """
 
 from __future__ import annotations
@@ -95,6 +99,12 @@ _PRIME = np.uint64(FIELD_PRIME)
 # bincount temporaries to a few MB whatever the batch size
 WINDOW_CELLS = 1 << 16
 
+# items from which `fingerprint_terms` runs as array passes: both paths cost
+# about the same per exponent bit (the array's fixed numpy calls against one
+# Python `pow` step per item), and they broke even at 150-180 items for 9,
+# 16 and 28 exponent bits on a 2-vCPU host
+FIELD_ARRAY_MIN = 160
+
 
 def int_array(values, error=SketchError) -> np.ndarray:
     """`values` as an int64 array; raises `error` unless they are integers
@@ -157,7 +167,13 @@ def field_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def field_pow(base: np.ndarray, exp: np.ndarray) -> np.ndarray:
-    """base ** exp mod 2^61 - 1, elementwise; `exp` holds nonnegative ints."""
+    """base ** exp mod 2^61 - 1, elementwise; `exp` holds nonnegative ints.
+
+    Square and multiply over the bits of the largest exponent: each bit
+    costs two `field_mul` passes, a fixed 30-35 us on a 2-vCPU host before
+    any per-item work, so `fingerprint_terms` calls it only from
+    `FIELD_ARRAY_MIN` items up.
+    """
     out = np.ones(base.shape, dtype=np.uint64)
     exp = np.asarray(exp, dtype=np.int64)
     for bit in range(int(exp.max(initial=0)).bit_length()):
@@ -165,6 +181,24 @@ def field_pow(base: np.ndarray, exp: np.ndarray) -> np.ndarray:
             base = field_mul(base, base)
         out = np.where((exp >> bit) & 1 == 1, field_mul(out, base), out)
     return out
+
+
+def fingerprint_terms(value: np.ndarray, base: np.ndarray, exp: np.ndarray) -> np.ndarray:
+    """(value mod p) * base^exp mod p per item, the fingerprint term of
+    adding `value` at index `exp` to a sketch with field element `base`:
+    int64 `value` and `exp`, uint64 `base`, uint64 result below p.
+
+    `accumulate` and `peel` form every fingerprint term here.  From
+    `FIELD_ARRAY_MIN` items up the product is `field_pow` and `field_mul`
+    array passes; below it the whole product stays on Python ints, one
+    three-argument `pow` per item, which costs less than the passes' fixed
+    numpy calls.  Field arithmetic is exact, so both give the same bits.
+    """
+    if value.size < FIELD_ARRAY_MIN:
+        P = FIELD_PRIME
+        return np.array([v % P * pow(r, j, P) % P for v, r, j in
+                         zip(value.tolist(), base.tolist(), exp.tolist())], dtype=np.uint64)
+    return field_mul((value % FIELD_PRIME).astype(np.uint64), field_pow(base, exp))
 
 
 def _net(key: np.ndarray, delta: np.ndarray):
@@ -236,9 +270,7 @@ def accumulate(counts, id_sums, fps, seeds, slot, index, delta, universe: int) -
         seeds_w = seeds[slots[rank[a] : rank[b - 1] + 1]]
         local = rank[a:b] - rank[a]
         x, d = index[a:b], net[a:b]
-        incs = field_mul(
-            (d % FIELD_PRIME).astype(np.uint64), field_pow(sketch_fp_bases(seeds_w)[local], x)
-        )
+        incs = fingerprint_terms(d, sketch_fp_bases(seeds_w)[local], x)
         _add_cells(
             counts, id_sums, fps, slot[a:b], sketch_row_seeds(seeds_w, R)[local], x, d, incs
         )
@@ -255,7 +287,8 @@ def peel(counts, id_sums, fps, row_seeds, fp_bases, universe: int):
     cell is pure when its id sum is its count times a candidate in
     [0, universe) and its count is in [-1, universe]; the first pure cell of
     each (slot, candidate) is accepted if its fingerprint is
-    count * r^candidate; the accepted items are subtracted.  A slot whose
+    count * r^candidate, formed for all the round's candidates by one
+    `fingerprint_terms` call; the accepted items are subtracted.  A slot whose
     round accepts nothing stays as it is, so the rounds stop when no slot
     accepts an item, or after universe + 2.
     """
@@ -276,8 +309,7 @@ def peel(counts, id_sums, fps, row_seeds, fp_bases, universe: int):
         # cell of every (slot, candidate)
         first = pure[np.unique(slot[pure] * universe + cand[pure], return_index=True)[1]]
         cell, slot, i, v = cell[first], slot[first], cand[first], c[first]
-        fp = np.array([x % FIELD_PRIME * pow(r, j, FIELD_PRIME) % FIELD_PRIME for x, r, j in
-                       zip(v.tolist(), fp_bases[slot].tolist(), i.tolist())], dtype=np.uint64)
+        fp = fingerprint_terms(v, fp_bases[slot], i)
         ok = fps_flat[cell] == fp
         if not ok.any():
             break

@@ -109,18 +109,23 @@ def blocks(draw):
 def test_block_peel_equals_scalar_peel_on_every_slot(sketches, one_item_windows):
     sp = sketches[0].params
     seeds = np.array([sk.params.seed for sk in sketches], dtype=np.uint64)
-    block = [np.stack([getattr(sk, a) for sk in sketches]) for a in ("counts", "id_sums", "fps")]
-    with pytest.MonkeyPatch.context() as mp:
-        if one_item_windows:
-            mp.setattr(sketch_mod, "WINDOW_CELLS", 1)
-        slot, index, value, fail = peel(*block, sketch_row_seeds(seeds, sp.rows),
-                                        sketch_fp_bases(seeds), sp.universe_size)
-    for s, sk in enumerate(sketches):
-        got = dict(zip(index[slot == s].tolist(), value[slot == s].tolist()))
-        if fail[s] or len(got) > sp.sparsity_budget:
-            got = None
-        assert got == scalar_recover(sk)
-        assert sk.recover() == got
+    want = [scalar_recover(sk) for sk in sketches]
+    # fingerprint terms as array passes at every size, then on Python ints
+    for cutover in (0, 1 << 30):
+        block = [np.stack([getattr(sk, a) for sk in sketches]) for a in ("counts", "id_sums", "fps")]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sketch_mod, "FIELD_ARRAY_MIN", cutover)
+            if one_item_windows:
+                mp.setattr(sketch_mod, "WINDOW_CELLS", 1)
+            slot, index, value, fail = peel(*block, sketch_row_seeds(seeds, sp.rows),
+                                            sketch_fp_bases(seeds), sp.universe_size)
+            recovered = [sk.recover() for sk in sketches]
+        for s, sk in enumerate(sketches):
+            got = dict(zip(index[slot == s].tolist(), value[slot == s].tolist()))
+            if fail[s] or len(got) > sp.sparsity_budget:
+                got = None
+            assert got == want[s]
+            assert recovered[s] == got
 
 
 def _scalar_recover_sparsifier(state):
@@ -165,10 +170,14 @@ def test_recover_sparsifier_equals_scalar_peels(n, p, seed, ups, bad, one_slot_g
 
 @pytest.mark.parametrize("group_cells", [1, 1 << 16])
 def test_recover_sparsifier_peels_in_groups(monkeypatch, group_cells):
-    # a k < n state: the sketch path's groups of slots, at one slot or many
+    # a k < n state: the sketch path's groups of slots, at one slot or many,
+    # with fingerprint terms as array passes at every size, then on Python ints
     G = gnp_graph(40, 0.4, seed=3)
-    state = StreamState(40, SparsifierParams(delta=0.25, eps=0.5, upsilon_override=1.0, seed=5))
-    assert not state.dense
-    state.process_many(gen_stream(G, churn=0.5, seed=4))
     monkeypatch.setattr(stream_mod, "WINDOW_CELLS", group_cells)
-    assert_same_graph(state.recover_sparsifier(), _scalar_recover_sparsifier(state))
+    for cutover in (0, 1 << 30):
+        monkeypatch.setattr(sketch_mod, "FIELD_ARRAY_MIN", cutover)
+        state = StreamState(40, SparsifierParams(delta=0.25, eps=0.5, upsilon_override=1.0,
+                                                 seed=5))
+        assert not state.dense
+        state.process_many(gen_stream(G, churn=0.5, seed=4))
+        assert_same_graph(state.recover_sparsifier(), _scalar_recover_sparsifier(state))

@@ -5,6 +5,8 @@ sketch bit-identical to a loop of scalar `SparseRecoverySketch.update`
 calls, whatever the batching, windowing or chunking.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -40,6 +42,10 @@ from powercut.stream import (
 from conftest import assert_same_graph
 
 FAST = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+# `sketch.FIELD_ARRAY_MIN` forcing fingerprint terms into array passes at any
+# size, then onto Python ints at every size a test reaches
+FIELD_CUTOVERS = (0, 1 << 30)
 
 
 def leading_ones(x):
@@ -93,12 +99,16 @@ def test_update_many_equals_update_loop(n, k_frac, p, seed, data):
     loop = SparseRecoverySketch(sp)
     for i, d in items:
         loop.update(i, d)
-    batch = SparseRecoverySketch(sp)
-    batch.update_many([i for i, _ in items], [d for _, d in items])
-    assert batch.serialize() == loop.serialize()
-    # the negated batch cancels it exactly, back to the zero sketch
-    batch.update_many([i for i, _ in items], [-d for _, d in items])
-    assert batch.serialize() == SparseRecoverySketch(sp).serialize()
+    # fingerprint terms as array passes, then on Python ints
+    for cutover in FIELD_CUTOVERS:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sketch_mod, "FIELD_ARRAY_MIN", cutover)
+            batch = SparseRecoverySketch(sp)
+            batch.update_many([i for i, _ in items], [d for _, d in items])
+            assert batch.serialize() == loop.serialize()
+            # the negated batch cancels it exactly, back to the zero sketch
+            batch.update_many([i for i, _ in items], [-d for _, d in items])
+            assert batch.serialize() == SparseRecoverySketch(sp).serialize()
 
 
 def test_update_many_windows_match_one_window(monkeypatch):
@@ -133,6 +143,24 @@ def test_field_helpers_match_python_ints():
     assert sketch_mod.field_pow(a, e).tolist() == [pow(int(x), int(y), P) for x, y in zip(a, e)]
     wide = np.array([0, P - 1, P, P + 1, 2 * P, (1 << 64) - 1], dtype=np.uint64)
     assert sketch_mod.field_reduce(wide).tolist() == [int(x) % P for x in wide]
+    # fingerprint terms on both sides of the size choice, at sizes around it
+    # and up to the largest vertex id a stream state admits
+    top = stream_mod.POOL_BYTE_CAP // 8 - 1
+    assert top == 2**28 - 1
+    edge = sketch_mod.FIELD_ARRAY_MIN
+    for size, ends in itertools.product((0, 1, edge - 1, edge, edge + 1), ([0, top], [top, 0])):
+        v = rng.integers(-3, 2**40, size)
+        r = rng.integers(0, P, size, dtype=np.uint64)
+        x = rng.integers(0, top + 1, size)
+        x[:2] = ends[:size]
+        powers = [pow(int(b), int(c), P) for b, c in zip(r, x)]
+        assert sketch_mod.field_pow(r, x).tolist() == powers
+        want = [int(w) % P * y % P for w, y in zip(v, powers)]
+        for cutover in FIELD_CUTOVERS + (edge,):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(sketch_mod, "FIELD_ARRAY_MIN", cutover)
+                got = sketch_mod.fingerprint_terms(v, r, x)
+            assert got.dtype == np.uint64 and got.tolist() == want
 
 
 # -- levels ------------------------------------------------------------------------
